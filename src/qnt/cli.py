@@ -7,7 +7,8 @@ Common options: --topology FILE --s VAL --m VAL --m-samples LIST
 comma-separated values and start:stop:step ranges (inclusive stop).  The
 seed falls back to the ``QNT_SEED`` environment variable, then to 12345.
 Default grids are desk scale (step 1000, 100 trials); ``--full-scale``
-restores the reference scale (step 100, 1000 trials).
+restores the reference scale (step 100, 1000 trials unless ``--trials`` is
+given).  Out-of-range input is a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="merge-side sample sizes (list or start:stop:step)")
         cmd.add_argument("--n-samples", type=parse_int_list, default=None,
                          help="unicast-side sample sizes")
-        cmd.add_argument("--trials", type=int, default=100)
+        cmd.add_argument("--trials", type=int, default=None,
+                         help="trials per grid cell (default 100, or 1000 with --full-scale)")
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--full-scale", action="store_true",
                          help="reference scale: step-100 grids and 1000 trials")
@@ -136,8 +138,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    write_experiment(config_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = config_from_args(args)
+    except ValueError as err:
+        parser.error(str(err))
+    write_experiment(cfg)
     return 0
 
 

@@ -16,12 +16,13 @@ seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import lossy, network, protocols, stats, topo_io
 from .pauli import PauliChannel
@@ -47,15 +48,19 @@ CSV_COLUMNS = (
 
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
+# How many of ``q_params`` each experiment reads; etch takes its channels
+# from the topology.
+_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a driver needs; unset grids fall back to scale defaults."""
+    """Everything a driver needs; unset grids and trials fall back to scale
+    defaults.  Out-of-range values raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
-    trials: int = 100
+    trials: Optional[int] = None
     s: float = 1.0
     m: float = 1.0
     m_samples: tuple[int, ...] = ()
@@ -76,6 +81,8 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
+        if self.trials is None:
+            self.trials = 1000 if self.full_scale else 100
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         default = FULL_GRID if self.full_scale else DESK_GRID
@@ -83,8 +90,15 @@ class ExperimentConfig:
             self.m_samples = default
         if not self.n_samples:
             self.n_samples = default
-        if self.full_scale and self.trials == 100:
-            self.trials = 1000
+        if min(self.m_samples + self.n_samples) < 1:
+            raise ValueError("sample sizes must be at least 1")
+        needed = _Q_PARAMS_READ.get(self.experiment.replace("-", "_"), 0)
+        if len(self.q_params) < needed:
+            raise ValueError(
+                f"{self.experiment} needs {needed} q values, got {len(self.q_params)}"
+            )
+        for s, m in ((self.s, self.m), *self.spam_grid):
+            SpamModel(s, m)  # raises ProtocolError, a ValueError, outside [0, 1]
 
     @property
     def spam(self) -> SpamModel:
@@ -158,53 +172,78 @@ def _star_channels(cfg: ExperimentConfig) -> tuple[PauliChannel, PauliChannel, P
     return (PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2), PauliChannel(q3, q3, q3))
 
 
-def _run_star_cell(
-    cfg: ExperimentConfig, spam: SpamModel, m_n: tuple[int, int]
-) -> tuple[float, float, float, float]:
-    """One (M, N) cell of the star experiment; returns (truth, mse, mse_std, crb)."""
-    ch1, ch2, ch3 = _star_channels(cfg)
-    m_size, n_size = m_n
-    p_merge = protocols.mergecast_prob(ch1, [ch2], [ch3], spam)
-    p_uni = protocols.unicast_prob([ch2, ch3], spam)
-    label = f"star|{spam.s}|{spam.m}|{m_size}|{n_size}"
-    estimates = []
-    for trial in range(cfg.trials):
-        merge = protocols.sample_protocol(
-            p_merge, m_size, stats.substream(cfg.seed, label + "|merge", trial)
-        )
-        uni = protocols.sample_protocol(
-            p_uni, n_size, stats.substream(cfg.seed, label + "|uni", trial)
-        )
-        estimates.append(protocols.estimate_q_mergecast(merge, uni) / spam.s)
-    agg = stats.aggregate_mse(estimates, ch1.q_z)
-    crb = stats.crb_mergecast(m_size, n_size, ch1.q_z, ch2.q_z, ch3.q_z, spam.s, spam.m)
-    return ch1.q_z, agg.mse, agg.mse_std, crb
+def _ratio_rows(
+    cfg: ExperimentConfig,
+    spam: SpamModel,
+    stream: str,
+    *,
+    numerator: str,
+    p_num: float,
+    p_uni: float,
+    estimator: Callable,
+    divisor: float,
+    truth: float,
+    target: str,
+    crb: Callable[[int, int], float],
+) -> list[Row]:
+    """One row per (M, N) cell of a two-protocol ratio estimate of ``truth``.
+
+    The numerator protocol runs M times and the unicast protocol N times per
+    trial.  All trials of a protocol are drawn in one batch from the
+    substream labelled ``{stream}|{M}|{N}|{numerator}`` (``...|uni`` for
+    unicast) at index 0, and each trial estimates
+    ``estimator(p_num_hat, p_uni_hat) / divisor``.
+    """
+    rows = []
+    for m_size in cfg.m_samples:
+        for n_size in cfg.n_samples:
+            start = time.perf_counter()
+            cell = f"{stream}|{m_size}|{n_size}|"
+            num = stats.substream(cfg.seed, cell + numerator, 0).binomial(
+                m_size, p_num, size=cfg.trials
+            )
+            uni = stats.substream(cfg.seed, cell + "uni", 0).binomial(
+                n_size, p_uni, size=cfg.trials
+            )
+            agg = stats.aggregate_mse(estimator(num / m_size, uni / n_size) / divisor, truth)
+            rows.append(
+                Row(
+                    experiment=cfg.experiment,
+                    m_value=m_size,
+                    n_value=n_size,
+                    s=spam.s,
+                    m=spam.m,
+                    truth=truth,
+                    mse=agg.mse,
+                    mse_std=agg.mse_std,
+                    crb=crb(m_size, n_size),
+                    runtime_ms=(time.perf_counter() - start) * 1e3,
+                    seed=cfg.seed,
+                    target=target,
+                )
+            )
+    return rows
 
 
 def run_star(cfg: ExperimentConfig, spam_grid: Optional[Sequence[SpamModel]] = None) -> list[Row]:
-    spams = list(spam_grid) if spam_grid else [cfg.spam]
+    ch1, ch2, ch3 = _star_channels(cfg)
     rows = []
-    for spam in spams:
-        for m_size in cfg.m_samples:
-            for n_size in cfg.n_samples:
-                start = time.perf_counter()
-                truth, mse, mse_std, crb = _run_star_cell(cfg, spam, (m_size, n_size))
-                rows.append(
-                    Row(
-                        experiment=cfg.experiment,
-                        m_value=m_size,
-                        n_value=n_size,
-                        s=spam.s,
-                        m=spam.m,
-                        truth=truth,
-                        mse=mse,
-                        mse_std=mse_std,
-                        crb=crb,
-                        runtime_ms=(time.perf_counter() - start) * 1e3,
-                        seed=cfg.seed,
-                        target="qZ1",
-                    )
-                )
+    for spam in spam_grid or [cfg.spam]:
+        rows += _ratio_rows(
+            cfg,
+            spam,
+            f"star|{spam.s}|{spam.m}",
+            numerator="merge",
+            p_num=protocols.mergecast_prob(ch1, [ch2], [ch3], spam),
+            p_uni=protocols.unicast_prob([ch2, ch3], spam),
+            estimator=protocols.estimate_q_mergecast,
+            divisor=spam.s,
+            truth=ch1.q_z,
+            target="qZ1",
+            crb=functools.partial(
+                stats.crb_mergecast, q1=ch1.q_z, q2=ch2.q_z, q3=ch3.q_z, s=spam.s, m=spam.m
+            ),
+        )
     return rows
 
 
@@ -218,82 +257,38 @@ def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
     q1, q2 = cfg.q_params[:2]
     path = [PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2)]
     spam = cfg.spam
-    p1 = protocols.spam_s_protocol_prob(path, spam)
-    p0 = protocols.unicast_prob(path, spam)
-    rows = []
-    for m_size in cfg.m_samples:
-        for n_size in cfg.n_samples:
-            start = time.perf_counter()
-            label = f"spam-s|{m_size}|{n_size}"
-            estimates = []
-            for trial in range(cfg.trials):
-                root = protocols.sample_protocol(
-                    p1, m_size, stats.substream(cfg.seed, label + "|root", trial)
-                )
-                uni = protocols.sample_protocol(
-                    p0, n_size, stats.substream(cfg.seed, label + "|uni", trial)
-                )
-                estimates.append(protocols.estimate_s(root, uni))
-            agg = stats.aggregate_mse(estimates, spam.s)
-            crb = stats.crb_spam_s(m_size, n_size, q1, q2, spam.s, spam.m)
-            rows.append(
-                Row(
-                    experiment=cfg.experiment,
-                    m_value=m_size,
-                    n_value=n_size,
-                    s=spam.s,
-                    m=spam.m,
-                    truth=spam.s,
-                    mse=agg.mse,
-                    mse_std=agg.mse_std,
-                    crb=crb,
-                    runtime_ms=(time.perf_counter() - start) * 1e3,
-                    seed=cfg.seed,
-                    target="s",
-                )
-            )
-    return rows
+    return _ratio_rows(
+        cfg,
+        spam,
+        "spam-s",
+        numerator="root",
+        p_num=protocols.spam_s_protocol_prob(path, spam),
+        p_uni=protocols.unicast_prob(path, spam),
+        estimator=protocols.estimate_s,
+        divisor=1.0,
+        truth=spam.s,
+        target="s",
+        crb=functools.partial(stats.crb_spam_s, q1=q1, q2=q2, s=spam.s, m=spam.m),
+    )
 
 
 def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
     q1, q2 = cfg.q_params[:2]
     path = [PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2)]
     spam = cfg.spam
-    p2 = protocols.spam_m_protocol_probs(path, path, spam)[4]
-    p0 = protocols.unicast_prob(path, spam)
-    rows = []
-    for m_size in cfg.m_samples:
-        for n_size in cfg.n_samples:
-            start = time.perf_counter()
-            label = f"spam-m|{m_size}|{n_size}"
-            estimates = []
-            for trial in range(cfg.trials):
-                pair = protocols.sample_protocol(
-                    p2, m_size, stats.substream(cfg.seed, label + "|pair", trial)
-                )
-                uni = protocols.sample_protocol(
-                    p0, n_size, stats.substream(cfg.seed, label + "|uni", trial)
-                )
-                estimates.append(protocols.estimate_m(pair, uni))
-            agg = stats.aggregate_mse(estimates, spam.m)
-            crb = stats.crb_spam_m(m_size, n_size, q1, q2, spam.s, spam.m)
-            rows.append(
-                Row(
-                    experiment=cfg.experiment,
-                    m_value=m_size,
-                    n_value=n_size,
-                    s=spam.s,
-                    m=spam.m,
-                    truth=spam.m,
-                    mse=agg.mse,
-                    mse_std=agg.mse_std,
-                    crb=crb,
-                    runtime_ms=(time.perf_counter() - start) * 1e3,
-                    seed=cfg.seed,
-                    target="m",
-                )
-            )
-    return rows
+    return _ratio_rows(
+        cfg,
+        spam,
+        "spam-m",
+        numerator="pair",
+        p_num=protocols.spam_m_protocol_probs(path, path, spam)[4],
+        p_uni=protocols.unicast_prob(path, spam),
+        estimator=protocols.estimate_m,
+        divisor=1.0,
+        truth=spam.m,
+        target="m",
+        crb=functools.partial(stats.crb_spam_m, q1=q1, q2=q2, s=spam.s, m=spam.m),
+    )
 
 
 def _load_topology(cfg: ExperimentConfig) -> network.Topology:

@@ -287,13 +287,10 @@ class EtchingState:
     identified: dict = field(default_factory=dict)
     effective_monitors: set = field(default_factory=set)
     promoted_via: dict = field(default_factory=dict)
-    frontier: set = field(default_factory=set)
 
     @classmethod
     def initial(cls, topology: Topology) -> "EtchingState":
-        state = cls(effective_monitors=set(topology.monitors))
-        state.frontier = peripheral_edges(topology, state)
-        return state
+        return cls(effective_monitors=set(topology.monitors))
 
 
 def peripheral_edges(topology: Topology, state: EtchingState) -> set:

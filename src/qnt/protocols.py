@@ -53,18 +53,6 @@ BASIS_DRESSINGS = {
     "Y": Dressing.HADAMARD_PHASE,
 }
 
-# Known SPAM attenuation prefactor f(m, s) of each pipeline: the final
-# outcome satisfies p0 = (1 + f * prod q)/2 with q the (dressed) channel
-# parameters involved.
-SPAM_PREFACTORS = {
-    "unicast": lambda s, m: m * s,
-    "mergecast": lambda s, m: m * s * s,
-    "bypass_unicast": lambda s, m: m * s,
-    "spam_s": lambda s, m: m * s * s,
-    "spam_m_sum": lambda s, m: m * m * s,
-    "spam_ms_bypass": lambda s, m: m * s,
-}
-
 
 class ProtocolError(ValueError):
     """A protocol precondition is violated (empty path, zero parameter, ...)."""
@@ -113,16 +101,6 @@ class ProtocolOutcome:
     @property
     def empirical_p(self) -> float:
         return self.n0 / self.n_total
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One produced estimate, with the sample sizes that went into it."""
-
-    target: str
-    value: float
-    sample_sizes: tuple[int, int]
-    method: str
 
 
 @dataclass(frozen=True)
@@ -291,22 +269,31 @@ def sample_protocol(
     return ProtocolOutcome(p0_analytic=p0, n0=n0, n_total=n, seed=seed_field)
 
 
-ProbabilityLike = Union[ProtocolOutcome, float]
+# An array holds one empirical probability per trial; the estimators then
+# return one estimate per trial.
+ProbabilityLike = Union[ProtocolOutcome, float, np.ndarray]
 
 
-def _p_hat(value: ProbabilityLike) -> float:
-    return value.empirical_p if isinstance(value, ProtocolOutcome) else float(value)
+def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
+    if isinstance(value, ProtocolOutcome):
+        return value.empirical_p
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
-def _ratio(numerator: ProbabilityLike, denominator: ProbabilityLike, what: str) -> float:
+def _ratio(
+    numerator: ProbabilityLike, denominator: ProbabilityLike, what: str
+) -> Union[float, np.ndarray]:
     num = 2.0 * _p_hat(numerator) - 1.0
     den = 2.0 * _p_hat(denominator) - 1.0
-    if abs(den) < DEGENERATE_DENOMINATOR_TOL:
-        raise EstimationError(f"{what}: denominator 2*p-1 = {den} is degenerate")
+    degenerate = np.abs(den) < DEGENERATE_DENOMINATOR_TOL
+    if np.any(degenerate):
+        raise EstimationError(
+            f"{what}: denominator 2*p-1 = {np.ravel(den)[np.argmax(degenerate)]} is degenerate"
+        )
     return num / den
 
 
-def estimate_q_mergecast(merge: ProbabilityLike, uni: ProbabilityLike) -> float:
+def estimate_q_mergecast(merge: ProbabilityLike, uni: ProbabilityLike) -> Union[float, np.ndarray]:
     """Ratio estimator (2 p_merge - 1)/(2 p_uni - 1).
 
     On exact probabilities this returns s * q_target; with known SPAM the
@@ -316,12 +303,12 @@ def estimate_q_mergecast(merge: ProbabilityLike, uni: ProbabilityLike) -> float:
     return _ratio(merge, uni, "mergecast estimator")
 
 
-def estimate_s(p1: ProbabilityLike, p0: ProbabilityLike) -> float:
+def estimate_s(p1: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndarray]:
     """Preparation-error estimator (2 p_SPAM,1 - 1)/(2 p_SPAM,0 - 1)."""
     return _ratio(p1, p0, "s estimator")
 
 
-def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> float:
+def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndarray]:
     """Measurement-error estimator (2 p_SPAM,2 - 1)/(2 p_SPAM,0 - 1)."""
     return _ratio(p2, p0, "m estimator")
 
@@ -335,14 +322,12 @@ def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> float:
 class EtchingRun:
     """Output of one etching sweep over a topology.
 
-    ``estimates`` holds the raw per-basis estimate triple for each edge,
-    ``steps`` the 1-based round in which the edge was identified, and
-    ``records`` one entry per (edge, basis) estimation.
+    ``estimates`` holds the raw per-basis estimate triple for each edge and
+    ``steps`` the 1-based round in which the edge was identified.
     """
 
     estimates: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
     state: Optional[EtchingState] = None
 
 
@@ -411,14 +396,6 @@ def run_progressive_etching(
                         f"edge {target!r}, basis {basis}: chain correction {correction} degenerate"
                     )
                 per_basis[basis] = ratio / correction
-                run.records.append(
-                    EstimateRecord(
-                        target=target,
-                        value=per_basis[basis],
-                        sample_sizes=(m_samples, n_samples),
-                        method=f"mergecast-{basis}",
-                    )
-                )
             round_results[target] = per_basis
             if selection.merge_node not in state.effective_monitors:
                 promotions.append((selection.merge_node, target))
@@ -435,7 +412,6 @@ def run_progressive_etching(
             if node not in state.effective_monitors:
                 state.effective_monitors.add(node)
                 state.promoted_via[node] = via_edge
-        state.frontier = network.peripheral_edges(topology, state)
 
     return run
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class TrialAggregate:
     plotting conventions differ).
     """
 
-    estimates: tuple[float, ...]
     truth: float
     mse: float
     sq_err_std: float
@@ -50,21 +49,23 @@ class TrialAggregate:
     n_trials: int
 
 
-def aggregate_mse(estimates: Sequence[float], truth: float) -> TrialAggregate:
+def aggregate_mse(estimates: Union[Sequence[float], np.ndarray], truth: float) -> TrialAggregate:
     """Mean squared error of ``estimates`` against ``truth``."""
-    values = tuple(float(v) for v in estimates)
-    if not values:
+    values = np.asarray(estimates, dtype=float)
+    if not values.size:
         raise ValueError("estimates must be nonempty")
-    sq = np.array([(v - truth) ** 2 for v in values])
+    # float_power squares through libm pow, like Python's float ``**``, so a
+    # list of floats aggregates bit for bit as a scalar loop would; ``**`` on
+    # an array multiplies instead and differs in the last bit now and then.
+    sq = np.float_power(values - truth, 2)
     mse = float(sq.mean())
     sq_std = float(sq.std(ddof=0))
     return TrialAggregate(
-        estimates=values,
         truth=float(truth),
         mse=mse,
         sq_err_std=sq_std,
-        mse_std=sq_std / math.sqrt(len(values)),
-        n_trials=len(values),
+        mse_std=sq_std / math.sqrt(values.size),
+        n_trials=values.size,
     )
 
 

@@ -2,8 +2,11 @@ import re
 
 import pytest
 
+from qnt import protocols, stats
 from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_spam_grid
 from qnt.experiments import CSV_COLUMNS, ExperimentConfig, rows_to_csv, run_experiment
+from qnt.pauli import PauliChannel
+from qnt.protocols import EstimationError, SpamModel
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -53,6 +56,39 @@ class TestArgParsing:
         monkeypatch.setenv("QNT_SEED", "991")
         args = build_parser().parse_args(["star"])
         assert config_from_args(args).seed == 991
+
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            (["star"], 100),
+            (["star", "--full-scale"], 1000),
+            (["star", "--full-scale", "--trials", "100"], 100),
+        ],
+    )
+    def test_trials_default_follows_scale_only_when_unset(self, argv, trials):
+        assert config_from_args(build_parser().parse_args(argv)).trials == trials
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--q", "0.5,0.25"],
+            ["sweep", "--q", "0.5,0.25"],
+            ["loss", "--q", "0.5,0.25"],
+            ["spam-s", "--q", "0.5"],
+            ["spam-m", "--q", "0.5"],
+            ["star", "--s", "1.5"],
+            ["star", "--m", "-0.1"],
+            ["sweep", "--spam-grid", "1:1;0.9:1.2"],
+            ["star", "--trials", "0"],
+            ["star", "--m-samples", "0"],
+            ["star", "--n-samples", "100,-5"],
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "qnt: error: " in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -190,3 +226,81 @@ class TestMain:
         assert code == 0
         body = out.read_text().splitlines()
         assert len(body) == 2 + 3  # three edges
+
+
+STAR_SPAM = SpamModel(0.9, 0.95)
+CH1, CH2, CH3 = (PauliChannel(q, q, q) for q in (0.5, 0.25, 0.35))
+PATH = [CH1, CH2]  # the spam-s/spam-m path at q_params (0.5, 0.25)
+# experiment, config overrides, stream label, numerator protocol name,
+# numerator and unicast probabilities, estimator, divisor and truth.
+RATIO_CASES = [
+    (
+        "star",
+        dict(s=0.9, m=0.95),
+        "star|0.9|0.95",
+        "merge",
+        protocols.mergecast_prob(CH1, [CH2], [CH3], STAR_SPAM),
+        protocols.unicast_prob([CH2, CH3], STAR_SPAM),
+        protocols.estimate_q_mergecast,
+        0.9,
+        0.5,
+    ),
+    (
+        "spam_s",
+        dict(s=0.9, m=0.8, q_params=(0.5, 0.25)),
+        "spam-s",
+        "root",
+        protocols.spam_s_protocol_prob(PATH, SpamModel(0.9, 0.8)),
+        protocols.unicast_prob(PATH, SpamModel(0.9, 0.8)),
+        protocols.estimate_s,
+        1.0,
+        0.9,
+    ),
+    (
+        "spam_m",
+        dict(s=0.8, m=0.9, q_params=(0.5, 0.25)),
+        "spam-m",
+        "pair",
+        protocols.spam_m_protocol_probs(PATH, PATH, SpamModel(0.8, 0.9))[4],
+        protocols.unicast_prob(PATH, SpamModel(0.8, 0.9)),
+        protocols.estimate_m,
+        1.0,
+        0.9,
+    ),
+]
+
+
+class TestRatioCell:
+    @pytest.mark.parametrize(
+        "experiment, overrides, stream, numerator, p_num, p_uni, estimator, divisor, truth",
+        RATIO_CASES,
+        ids=[case[0] for case in RATIO_CASES],
+    )
+    def test_batched_cell_equals_scalar_loop(
+        self, experiment, overrides, stream, numerator, p_num, p_uni, estimator, divisor, truth
+    ):
+        cfg = small_cfg(experiment=experiment, trials=25, **overrides)
+        rows = run_experiment(cfg)
+        assert len(rows) == 2
+        for row in rows:
+            cell = f"{stream}|{row.m_value}|{row.n_value}|"
+            num_rng = stats.substream(cfg.seed, cell + numerator, 0)
+            uni_rng = stats.substream(cfg.seed, cell + "uni", 0)
+            estimates = [
+                estimator(
+                    protocols.sample_protocol(p_num, row.m_value, num_rng),
+                    protocols.sample_protocol(p_uni, row.n_value, uni_rng),
+                )
+                / divisor
+                for _ in range(cfg.trials)
+            ]
+            reference = stats.aggregate_mse(estimates, truth)
+            assert row.truth == truth
+            assert row.mse == reference.mse
+            assert row.mse_std == reference.mse_std
+
+    @pytest.mark.parametrize("experiment", ["star", "spam_s", "spam_m"])
+    def test_tiny_n_cell_still_raises(self, experiment):
+        cfg = small_cfg(experiment=experiment, m_samples=(2,), n_samples=(2,))
+        with pytest.raises(EstimationError):
+            run_experiment(cfg)
