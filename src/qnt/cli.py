@@ -14,6 +14,7 @@ given).  Out-of-range input is a usage error (exit status 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 from typing import Optional, Sequence
 
@@ -68,7 +69,9 @@ def _default_seed() -> int:
     return int(env) if env else 12345
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qnt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)

@@ -56,7 +56,8 @@ _Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults.  Out-of-range values raise ``ValueError``."""
+    defaults.  Out-of-range values, including a zero SPAM parameter, raise
+    ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -99,6 +100,9 @@ class ExperimentConfig:
             )
         for s, m in ((self.s, self.m), *self.spam_grid):
             SpamModel(s, m)  # raises ProtocolError, a ValueError, outside [0, 1]
+            if s == 0 or m == 0:
+                # every estimator divides by s, m or their product
+                raise ValueError(f"SPAM parameters must be nonzero, got s={s!r}, m={m!r}")
 
     @property
     def spam(self) -> SpamModel:

@@ -16,10 +16,11 @@ product of the members'.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .pauli import PauliChannel, compose_channels
 
@@ -352,36 +353,64 @@ class BranchSelection:
         return self.path_b + self.chain_b
 
 
-def _shortest_path_to_monitors(
+def _ranked_monitors(
     topology: Topology,
     state: EtchingState,
     start: str,
     blocked_edges: set,
-) -> dict[str, tuple[str, ...]]:
-    """BFS edge paths from ``start`` to each reachable effective monitor.
+) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+    """Yield ``(monitor, path, chain)`` for effective monitors reachable from ``start``.
 
-    Paths do not traverse blocked edges and stop at the first monitor
-    reached (interior nodes are never monitors).  Neighbor expansion follows
-    natural edge order, so ties resolve deterministically.
+    ``path`` is the BFS-shortest edge path avoiding ``blocked_edges`` (it
+    stops at the first monitor reached, so interior nodes are never
+    monitors; natural edge order breaks ties) and ``chain`` the monitor's
+    identified chain.  Monitors come shortest physical branch first
+    (``len(path) + len(chain)``), then in natural name order, then in
+    discovery order.  The BFS advances one level at a time and only as far
+    as the caller pulls: once level ``d`` is expanded every undiscovered
+    monitor ranks at least ``d + 2``, so queued monitors ranked ``d + 1`` or
+    better are final.
     """
-    paths: dict[str, tuple[str, ...]] = {}
-    visited = {start}
-    queue: list[tuple[str, tuple[str, ...]]] = [(start, ())]
-    while queue:
-        node, path = queue.pop(0)
-        for edge_id in topology.incident_edges(node):
-            if edge_id in blocked_edges or edge_id in path:
-                continue
-            other = topology.edges[edge_id].other(node)
-            if other in state.effective_monitors:
-                if other not in paths and other != start:
-                    paths[other] = path + (edge_id,)
-                continue
-            if other in visited:
-                continue
-            visited.add(other)
-            queue.append((other, path + (edge_id,)))
-    return paths
+    edges = topology.edges
+    monitors = state.effective_monitors
+    parent: dict[str, Optional[tuple[str, str]]] = {start: None}
+
+    def path_to(node: str, last_edge: str) -> tuple[str, ...]:
+        path = [last_edge]
+        while parent[node] is not None:
+            node, edge_id = parent[node]
+            path.append(edge_id)
+        return tuple(reversed(path))
+
+    heap: list = []
+    discovered: set = set()
+    level = [start]
+    depth = 0
+    while level:
+        next_level = []
+        for node in level:
+            for edge_id in topology.incident_edges(node):
+                if edge_id in blocked_edges:
+                    continue
+                other = edges[edge_id].other(node)
+                if other in monitors:
+                    if other not in discovered and other != start:
+                        discovered.add(other)
+                        chain = monitor_chain(topology, state, other)
+                        rank = depth + 1 + len(chain)
+                        heapq.heappush(heap, (rank, natural_key(other), len(discovered),
+                                              other, node, edge_id, chain))
+                    continue
+                if other in parent:
+                    continue
+                parent[other] = (node, edge_id)
+                next_level.append(other)
+        level = next_level
+        depth += 1
+        # With no level left to expand, every queued monitor is final.
+        while heap and (not level or heap[0][0] <= depth):
+            _, _, _, monitor, via_node, via_edge, chain = heapq.heappop(heap)
+            yield monitor, path_to(via_node, via_edge), chain
 
 
 def select_mergecast_branches(
@@ -398,7 +427,9 @@ def select_mergecast_branches(
     edge-disjoint from each other, from the target, and from the identified
     chains backing every involved effective monitor, so the three physical
     qubit paths of a run never share a channel.  Selection is deterministic:
-    monitor pairs are tried in natural order with BFS-shortest paths.
+    BFS-shortest branches are tried shortest physical branch first (the
+    identified chain behind the monitor included), then in natural monitor
+    name order, and the first edge-disjoint pair wins.
     """
     edge = topology.edges[target]
     candidates = []
@@ -412,36 +443,19 @@ def select_mergecast_branches(
         raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
     candidates.sort(key=lambda pair: natural_key(pair[0]))
 
-    def ranked(paths: dict) -> list:
-        # shortest physical branch first (identified chain included), with
-        # natural name order breaking ties
-        return sorted(
-            paths,
-            key=lambda mon: (
-                len(paths[mon]) + len(monitor_chain(topology, state, mon)),
-                natural_key(mon),
-            ),
-        )
-
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
         target_chain = monitor_chain(topology, state, outer)
         reserved = set(target_chain) | {target}
-        first_paths = _shortest_path_to_monitors(topology, state, center, reserved)
-        for monitor_a in ranked(first_paths):
+        for monitor_a, path_a, chain_a in _ranked_monitors(topology, state, center, reserved):
             if monitor_a == outer:
                 continue
-            path_a = first_paths[monitor_a]
-            chain_a = monitor_chain(topology, state, monitor_a)
             used = reserved | set(path_a) | set(chain_a)
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
-            second_paths = _shortest_path_to_monitors(topology, state, center, used)
-            for monitor_b in ranked(second_paths):
+            for monitor_b, path_b, chain_b in _ranked_monitors(topology, state, center, used):
                 if monitor_b in (outer, monitor_a):
                     continue
-                path_b = second_paths[monitor_b]
-                chain_b = monitor_chain(topology, state, monitor_b)
                 all_edges = used | set(path_b) | set(chain_b)
                 if len(all_edges) != len(used) + len(path_b) + len(chain_b):
                     continue

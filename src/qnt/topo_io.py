@@ -29,7 +29,7 @@ class TopologyParseError(ValueError):
 def parse_topology(text: str) -> Topology:
     """Parse the text schema into a validated :class:`Topology`."""
     nodes: dict[str, str] = {}
-    edges: list[Edge] = []
+    edges: dict[str, Edge] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,7 +51,7 @@ def parse_topology(text: str) -> Topology:
                     line_no, "expected: edge <id> <nodeA> <nodeB> <q_x> <q_y> <q_z>"
                 )
             _, edge_id, node_a, node_b, *qs = fields
-            if any(e.edge_id == edge_id for e in edges):
+            if edge_id in edges:
                 raise TopologyParseError(line_no, f"duplicate edge id {edge_id!r}")
             for endpoint in (node_a, node_b):
                 if endpoint not in nodes:
@@ -64,12 +64,12 @@ def parse_topology(text: str) -> Topology:
                 channel = PauliChannel(q_x, q_y, q_z)
             except ChannelValidationError as exc:
                 raise TopologyParseError(line_no, f"invalid channel: {exc}") from None
-            edges.append(Edge(edge_id, node_a, node_b, channel))
+            edges[edge_id] = Edge(edge_id, node_a, node_b, channel)
         else:
             raise TopologyParseError(line_no, f"unknown declaration {kind!r}")
     if not nodes:
         raise TopologyParseError(0, "file declares no nodes")
-    return Topology(nodes, edges)
+    return Topology(nodes, edges.values())
 
 
 def format_topology(topology: Topology) -> str:

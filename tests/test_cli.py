@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -57,6 +58,18 @@ class TestArgParsing:
         args = build_parser().parse_args(["star"])
         assert config_from_args(args).seed == 991
 
+    def test_successive_mains_share_no_state(self, monkeypatch, capsys):
+        monkeypatch.delenv("QNT_SEED", raising=False)
+        configs = []
+        first = ["star", "--s", "0.9", "--seed", "1", "--m-samples", "10000", "--n-samples", "10000"]
+        for argv in (first, ["star"]):
+            assert main(argv) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            configs.append(json.loads(header.removeprefix("# config ")))
+        assert (configs[0]["s"], configs[0]["seed"]) == (0.9, 1)
+        assert (configs[1]["s"], configs[1]["seed"]) == (1.0, 12345)
+        assert build_parser() is build_parser()
+
     @pytest.mark.parametrize(
         "argv, trials",
         [
@@ -82,6 +95,11 @@ class TestArgParsing:
             ["star", "--trials", "0"],
             ["star", "--m-samples", "0"],
             ["star", "--n-samples", "100,-5"],
+            ["star", "--s", "0"],
+            ["spam-m", "--s", "0"],
+            ["etch", "--s", "0"],
+            ["loss", "--m", "0"],
+            ["sweep", "--spam-grid", "1:1;0:1"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):

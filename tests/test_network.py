@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from numpy.testing import assert_allclose
 
+from qnt import network, protocols
 from qnt.network import (
+    BranchSelection,
     BranchSelectionError,
     Edge,
     EtchingState,
@@ -15,7 +19,9 @@ from qnt.network import (
     validate,
 )
 from qnt.pauli import PauliChannel
+from qnt.protocols import SpamModel
 from qnt.topo_io import bundled_topology
+from tests_support_chain import build_chain_heavy_topology
 
 UNIFORM = PauliChannel(0.8, 0.8, 0.8)
 
@@ -298,3 +304,207 @@ class TestBranchSelection:
         first = select_mergecast_branches(topo, state, "P12")
         second = select_mergecast_branches(topo, state, "P12")
         assert first == second
+
+
+def _reference_paths(topology, state, start, blocked_edges):
+    # reference search: a full-graph BFS to every reachable effective monitor
+    paths = {}
+    visited = {start}
+    queue = [(start, ())]
+    while queue:
+        node, path = queue.pop(0)
+        for edge_id in topology.incident_edges(node):
+            if edge_id in blocked_edges or edge_id in path:
+                continue
+            other = topology.edges[edge_id].other(node)
+            if other in state.effective_monitors:
+                if other not in paths and other != start:
+                    paths[other] = path + (edge_id,)
+                continue
+            if other in visited:
+                continue
+            visited.add(other)
+            queue.append((other, path + (edge_id,)))
+    return paths
+
+
+def reference_select(topology, state, target):
+    """Branch selection by full BFS plus a sort of every reachable monitor."""
+    edge = topology.edges[target]
+    candidates = sorted(
+        ((outer, center) for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a))
+         if outer in state.effective_monitors),
+        key=lambda pair: natural_key(pair[0]),
+    )
+    if not candidates:
+        raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
+
+    def ranked(paths):
+        return sorted(paths, key=lambda mon: (
+            len(paths[mon]) + len(monitor_chain(topology, state, mon)), natural_key(mon)))
+
+    last_error = f"no disjoint branch pair found for target {target!r}"
+    for outer, center in candidates:
+        target_chain = monitor_chain(topology, state, outer)
+        reserved = set(target_chain) | {target}
+        first_paths = _reference_paths(topology, state, center, reserved)
+        for monitor_a in ranked(first_paths):
+            if monitor_a == outer:
+                continue
+            path_a, chain_a = first_paths[monitor_a], monitor_chain(topology, state, monitor_a)
+            used = reserved | set(path_a) | set(chain_a)
+            if len(used) != len(reserved) + len(path_a) + len(chain_a):
+                continue
+            second_paths = _reference_paths(topology, state, center, used)
+            for monitor_b in ranked(second_paths):
+                if monitor_b in (outer, monitor_a):
+                    continue
+                path_b, chain_b = second_paths[monitor_b], monitor_chain(topology, state, monitor_b)
+                if len(used | set(path_b) | set(chain_b)) != len(used) + len(path_b) + len(chain_b):
+                    continue
+                return BranchSelection(center, outer, target_chain, path_a, chain_a, path_b, chain_b)
+        last_error = (
+            f"merge node {center!r} cannot reach two distinct effective monitors "
+            f"on edge-disjoint paths avoiding target {target!r}"
+        )
+    raise BranchSelectionError(last_error)
+
+
+MESH_CHANNEL = PauliChannel(0.95, 0.95, 0.95)
+
+
+def random_tree(seed: int, n_edges: int) -> Topology:
+    """A seeded tree of at least ``n_edges`` edges whose internal nodes have
+    degree >= 3 and whose leaves are the monitors."""
+    rng = random.Random(seed)
+    kinds = {"N0": "internal"}
+    leaves, links = [], []
+
+    def attach(parent):
+        child = f"N{len(kinds)}"
+        kinds[child] = "monitor"
+        leaves.append(child)
+        links.append((parent, child))
+
+    for _ in range(3):
+        attach("N0")
+    while len(links) < n_edges:
+        node = leaves.pop(rng.randrange(len(leaves)))
+        kinds[node] = "internal"
+        for _ in range(rng.choice((2, 3))):
+            attach(node)
+    return Topology(kinds, [Edge(f"E{i}", a, b, MESH_CHANNEL) for i, (a, b) in enumerate(links)])
+
+
+def random_mesh(seed: int, n_internal: int, n_extra: int) -> Topology:
+    """A random spanning tree of internal nodes plus ``n_extra`` random
+    internal edges (cycles, parallel edges), with monitors attached only
+    where an internal node would otherwise have degree below 3."""
+    rng = random.Random(seed)
+    links = [(f"H{i}", f"H{rng.randrange(i)}") for i in range(1, n_internal)]
+    links += [tuple(f"H{j}" for j in rng.sample(range(n_internal), 2)) for _ in range(n_extra)]
+    kinds = {f"H{i}": "internal" for i in range(n_internal)}
+    degree = dict.fromkeys(kinds, 0)
+    for a, b in links:
+        degree[a] += 1
+        degree[b] += 1
+    for node in list(degree):
+        for _ in range(3 - degree[node]):
+            monitor = f"M{len(kinds)}"
+            kinds[monitor] = "monitor"
+            links.append((node, monitor))
+    return Topology(kinds, [Edge(f"E{i}", a, b, MESH_CHANNEL) for i, (a, b) in enumerate(links)])
+
+
+def colliding_names() -> Topology:
+    """Monitor names equal under natural_key (M1/M01, M2/M02), discovered in
+    the opposite order to their plain string order."""
+    nodes = {"H1": "internal", "H2": "internal", "M1": "monitor", "M01": "monitor",
+             "M2": "monitor", "M02": "monitor"}
+    edges = [
+        Edge("A1", "H1", "M1", UNIFORM),
+        Edge("A2", "H1", "M01", UNIFORM),
+        Edge("B1", "H2", "M2", UNIFORM),
+        Edge("B2", "H2", "M02", UNIFORM),
+        Edge("C", "H1", "H2", UNIFORM),
+    ]
+    return Topology(nodes, edges)
+
+
+def _etch_against_reference(monkeypatch, topology, bases=("Z",)) -> list:
+    """Etch ``topology``, checking every branch selection of the sweep
+    against :func:`reference_select`; returns the (actual, reference)
+    outcome pairs.  A sweep that cannot select branches ends there."""
+    assert validate(topology, require_simplified=True) == []
+    pairs = []
+
+    def outcome(select, *args):
+        try:
+            return select(*args)
+        except BranchSelectionError as err:
+            return f"BranchSelectionError: {err}"
+
+    def checked(topology, state, target):
+        got = outcome(select_mergecast_branches, topology, state, target)
+        pairs.append((got, outcome(reference_select, topology, state, target)))
+        if isinstance(got, str):
+            raise BranchSelectionError(got)
+        return got
+
+    monkeypatch.setattr(network, "select_mergecast_branches", checked)
+    try:
+        protocols.run_progressive_etching(
+            topology, SpamModel(1.0, 1.0), samples=(10**6, 10**6), seed=7, bases=bases
+        )
+    except BranchSelectionError:
+        pass
+    assert pairs
+    assert [got for got, _ in pairs] == [expected for _, expected in pairs]
+    return pairs
+
+
+class TestSelectionMatchesReference:
+    """The lazy ranked search picks exactly what a full BFS plus a sort picks."""
+
+    def test_fig1_all_bases(self, monkeypatch):
+        pairs = _etch_against_reference(monkeypatch, bundled_topology("fig1"), ("Z", "X", "Y"))
+        assert len(pairs) == 19
+
+    def test_star_and_chain_heavy(self, monkeypatch):
+        assert len(_etch_against_reference(monkeypatch, star3())) == 3
+        chain_heavy, _ = simplify_degree2(build_chain_heavy_topology())
+        assert _etch_against_reference(monkeypatch, chain_heavy)
+
+    def test_colliding_monitor_names(self, monkeypatch):
+        pairs = _etch_against_reference(monkeypatch, colliding_names())
+        assert all(not isinstance(got, str) for got, _ in pairs)
+        sel = select_mergecast_branches(colliding_names(), EtchingState.initial(colliding_names()), "B2")
+        assert (sel.path_a2, sel.path_b) == (("B1",), ("C", "A1"))
+
+    def test_equal_rank_found_a_level_later_wins_by_name(self):
+        # B (one edge plus a one-edge chain) and A (two edges) both rank 2,
+        # but A is found one BFS level after B; natural order still puts A first
+        nodes = {"C": "internal", "D": "internal", "B": "internal", "X": "monitor",
+                 "MB": "monitor", "A": "monitor", "Z": "monitor"}
+        edges = [Edge("T", "C", "X", UNIFORM), Edge("Q", "B", "MB", UNIFORM),
+                 Edge("E1", "C", "B", UNIFORM), Edge("E2", "C", "D", UNIFORM),
+                 Edge("E3", "D", "A", UNIFORM), Edge("E4", "C", "Z", UNIFORM)]
+        topo = Topology(nodes, edges)
+        state = EtchingState.initial(topo)
+        state.effective_monitors.add("B")
+        state.promoted_via["B"] = "Q"
+        sel = select_mergecast_branches(topo, state, "T")
+        assert (sel.path_a2, sel.path_b, sel.chain_b) == (("E4",), ("E2", "E3"), ())
+        assert sel == reference_select(topo, state, "T")
+
+    def test_seeded_trees(self, monkeypatch):
+        for seed in range(20):
+            pairs = _etch_against_reference(monkeypatch, random_tree(seed, 20 + 7 * seed))
+            assert all(not isinstance(got, str) for got, _ in pairs)
+
+    def test_seeded_meshes(self, monkeypatch):
+        errors = 0
+        for seed in range(50):
+            pairs = _etch_against_reference(monkeypatch, random_mesh(seed, 6 + seed % 15, 1 + seed % 5))
+            errors += isinstance(pairs[-1][0], str)
+        assert 0 < errors < 50

@@ -60,8 +60,10 @@ class TestParse:
             "node A monitor\nnode B monitor\nnode C internal\n"
             "edge E A C 0.5 0.5 0.5\nedge E B C 0.5 0.5 0.5\n"
         )
-        with pytest.raises(TopologyParseError):
+        with pytest.raises(TopologyParseError) as err:
             parse_topology(text)
+        assert err.value.line_no == 5
+        assert str(err.value) == "line 5: duplicate edge id 'E'"
 
     def test_malformed_line(self):
         with pytest.raises(TopologyParseError):
