@@ -83,60 +83,42 @@ def build_parser() -> argparse.ArgumentParser:
         ("etch", "progressive etching MSE per edge on a general topology"),
         ("loss", "lossy-fiber merge protocol with memory decoherence"),
     ):
+        # Every dest but "experiment" names an ExperimentConfig field; an
+        # option left unset (None) keeps the config's default.
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--topology", dest="topology_path", default=None,
+        cmd.add_argument("--topology", dest="topology_path",
                          help="topology file (etch; defaults to the bundled 19-edge network)")
-        cmd.add_argument("--s", type=float, default=1.0, help="preparation parameter s")
-        cmd.add_argument("--m", type=float, default=1.0, help="measurement parameter m")
-        cmd.add_argument("--q", type=parse_float_list, default=None, dest="q_params",
+        cmd.add_argument("--s", type=float, help="preparation parameter s (default 1)")
+        cmd.add_argument("--m", type=float, help="measurement parameter m (default 1)")
+        cmd.add_argument("--q", type=parse_float_list, dest="q_params",
                          help="channel q values, e.g. 0.5,0.25,0.35")
-        cmd.add_argument("--m-samples", type=parse_int_list, default=None,
+        cmd.add_argument("--m-samples", type=parse_int_list,
                          help="merge-side sample sizes (list or start:stop:step)")
-        cmd.add_argument("--n-samples", type=parse_int_list, default=None,
-                         help="unicast-side sample sizes")
-        cmd.add_argument("--trials", type=int, default=None,
+        cmd.add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
+        cmd.add_argument("--trials", type=int,
                          help="trials per grid cell (default 100, or 1000 with --full-scale)")
-        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--seed", type=int)
         cmd.add_argument("--full-scale", action="store_true",
                          help="reference scale: step-100 grids and 1000 trials")
-        cmd.add_argument("--out", dest="output_path", default=None, help="CSV output path")
+        cmd.add_argument("--out", dest="output_path", help="CSV output path")
         if name == "sweep":
-            cmd.add_argument("--spam-grid", type=parse_spam_grid, default=None,
+            cmd.add_argument("--spam-grid", type=parse_spam_grid,
                              help="semicolon-separated s:m pairs, e.g. 1:1;0.9:0.9")
         if name == "loss":
-            cmd.add_argument("--t-send", type=parse_float_list, default=None,
+            cmd.add_argument("--t-send", type=parse_float_list, dest="t_send_s",
                              help="send intervals in seconds")
-            cmd.add_argument("--t-cutoff", type=parse_float_list, default=None,
+            cmd.add_argument("--t-cutoff", type=parse_float_list, dest="t_cutoff_s",
                              help="memory cutoffs in seconds")
-            cmd.add_argument("--horizon", type=float, default=3600.0)
+            cmd.add_argument("--horizon", type=float, dest="horizon_s",
+                             help="simulated time in seconds (default 3600)")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs = dict(
-        experiment=args.experiment.replace("-", "_"),
-        seed=args.seed if args.seed is not None else _default_seed(),
-        trials=args.trials,
-        s=args.s,
-        m=args.m,
-        topology_path=args.topology_path,
-        full_scale=args.full_scale,
-        output_path=args.output_path,
-    )
-    if args.m_samples:
-        kwargs["m_samples"] = args.m_samples
-    if args.n_samples:
-        kwargs["n_samples"] = args.n_samples
-    if args.q_params:
-        kwargs["q_params"] = args.q_params
-    if getattr(args, "spam_grid", None):
-        kwargs["spam_grid"] = args.spam_grid
-    if getattr(args, "t_send", None):
-        kwargs["t_send_s"] = args.t_send
-    if getattr(args, "t_cutoff", None):
-        kwargs["t_cutoff_s"] = args.t_cutoff
-    if getattr(args, "horizon", None):
-        kwargs["horizon_s"] = args.horizon
+    kwargs = {k: v for k, v in vars(args).items() if v is not None}
+    kwargs["experiment"] = args.experiment.replace("-", "_")
+    if args.seed is None:
+        kwargs["seed"] = _default_seed()
     return ExperimentConfig(**kwargs)
 
 

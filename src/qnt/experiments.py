@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -51,13 +52,18 @@ FULL_GRID = tuple(range(100, 20001, 100))
 # How many of ``q_params`` each experiment reads; etch takes its channels
 # from the topology.
 _Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
+# The loss experiment's fixed hardware: a 10 km fiber and the merge node's memory.
+LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
+LOSS_MEMORY_T1_S = 10.0
+LOSS_MEMORY_T2_S = 1.0
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults.  Out-of-range values, including a zero SPAM parameter, raise
-    ``ValueError``."""
+    defaults.  Out-of-range values, including a zero SPAM parameter, loss
+    timings that :mod:`qnt.lossy` rejects and an etch topology that cannot
+    be read or etched, raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -72,12 +78,6 @@ class ExperimentConfig:
     t_send_s: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     t_cutoff_s: tuple[float, ...] = (0.05, 0.35, 0.75, 5.0, 10.0)
     horizon_s: float = 3600.0
-    fiber_length_km: float = 10.0
-    fiber_speed_km_per_s: float = 2.0e5
-    fiber_p0: float = 0.5
-    fiber_alpha_per_km: float = 0.05
-    memory_t1_s: float = 10.0
-    memory_t2_s: float = 1.0
     full_scale: bool = False
     output_path: Optional[str] = None
 
@@ -103,6 +103,33 @@ class ExperimentConfig:
             if s == 0 or m == 0:
                 # every estimator divides by s, m or their product
                 raise ValueError(f"SPAM parameters must be nonzero, got s={s!r}, m={m!r}")
+        if self.experiment == "loss":
+            for t_send in self.t_send_s:
+                lossy.Schedule(t_send, self.horizon_s)
+            for t_cutoff in self.t_cutoff_s:
+                lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, t_cutoff)
+        if self.experiment == "etch":
+            self.topology  # read and checked here, so a bad file is a usage error
+
+    @functools.cached_property
+    def topology(self) -> network.Topology:
+        """The simplified etch topology (the bundled ``fig1`` without a path), read once.
+
+        A file that cannot be read, parsed, simplified or etched raises ``ValueError``.
+        """
+        where = self.topology_path or "fig1"
+        try:
+            if self.topology_path:
+                raw = topo_io.load_topology(self.topology_path)
+            else:
+                raw = topo_io.bundled_topology("fig1")
+            simplified, _ = network.simplify_degree2(raw)
+        except (OSError, topo_io.TopologyParseError, network.TopologyError) as err:
+            raise ValueError(f"topology {where}: {err}") from None
+        problems = network.validate(simplified, require_simplified=True)
+        if problems:
+            raise ValueError(f"topology {where} cannot be etched: " + "; ".join(map(str, problems)))
+        return simplified
 
     @property
     def spam(self) -> SpamModel:
@@ -128,6 +155,10 @@ class Row:
     t_cutoff_s: Optional[float] = None
 
 
+# Row fields in CSV_COLUMNS order.
+_row_values = operator.attrgetter(*(f.name for f in dataclasses.fields(Row)))
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -141,29 +172,7 @@ def _fmt(value) -> str:
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
     header = "# config " + json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     lines = [header, ",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.experiment,
-                    row.m_value,
-                    row.n_value,
-                    row.s,
-                    row.m,
-                    row.truth,
-                    row.mse,
-                    row.mse_std,
-                    row.crb,
-                    row.runtime_ms,
-                    row.seed,
-                    row.target,
-                    row.step,
-                    row.t_send_s,
-                    row.t_cutoff_s,
-                )
-            )
-        )
+    lines += [",".join(map(_fmt, _row_values(row))) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -295,21 +304,12 @@ def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
     )
 
 
-def _load_topology(cfg: ExperimentConfig) -> network.Topology:
-    if cfg.topology_path:
-        raw = topo_io.load_topology(cfg.topology_path)
-    else:
-        raw = topo_io.bundled_topology("fig1")
-    simplified, _ = network.simplify_degree2(raw)
-    return simplified
-
-
 def run_etch(cfg: ExperimentConfig) -> list[Row]:
     """Progressive etching MSE per edge.
 
     N is tied to M: the near-diagonal is where the ratio estimator works
     best, so sweeping one size covers the interesting regime."""
-    topology = _load_topology(cfg)
+    topology = cfg.topology
     spam = cfg.spam
     rows = []
     for m_size in cfg.m_samples:
@@ -353,25 +353,17 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
 
 def run_loss(cfg: ExperimentConfig) -> list[Row]:
     channels = _star_channels(cfg)
-    fiber = lossy.FiberParams(
-        length_km=cfg.fiber_length_km,
-        speed_km_per_s=cfg.fiber_speed_km_per_s,
-        p0=cfg.fiber_p0,
-        alpha_per_km=cfg.fiber_alpha_per_km,
-    )
     rows = []
     for t_send in cfg.t_send_s:
         schedule = lossy.Schedule(send_interval_s=t_send, horizon_s=cfg.horizon_s)
         for t_cutoff in cfg.t_cutoff_s:
-            memory = lossy.MemoryParams(
-                t1_s=cfg.memory_t1_s, t2_s=cfg.memory_t2_s, cutoff_s=t_cutoff
-            )
+            memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, cutoff_s=t_cutoff)
             start = time.perf_counter()
             estimates, merged, received = [], [], []
             for trial in range(cfg.trials):
                 result = lossy.run_loss_experiment(
                     channels,
-                    fiber,
+                    LOSS_FIBER,
                     memory,
                     schedule,
                     cfg.spam,

@@ -47,10 +47,6 @@ class FiberParams:
         if not 0.0 <= self.p0 <= 1.0:
             raise ValueError(f"p0 = {self.p0} outside [0, 1]")
 
-    @property
-    def delay_s(self) -> float:
-        return self.length_km / self.speed_km_per_s
-
 
 @dataclass(frozen=True)
 class MemoryParams:
@@ -66,7 +62,7 @@ class MemoryParams:
         if self.t2_s > 2.0 * self.t1_s + TIME_EPS:
             raise ValueError("physicality requires T2 <= 2 T1")
         if self.cutoff_s < 0:
-            raise ValueError("cutoff must be nonnegative")
+            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff_s}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +73,11 @@ class Schedule:
     horizon_s: float
 
     def __post_init__(self):
-        if not 0 < self.send_interval_s <= self.horizon_s:
-            raise ValueError("need 0 < send interval <= horizon")
+        if not 0 < self.send_interval_s <= self.horizon_s < math.inf:
+            raise ValueError(
+                f"need 0 < send interval <= horizon < inf, got {self.send_interval_s} "
+                f"and {self.horizon_s}"
+            )
 
     @property
     def n_slots(self) -> int:
@@ -123,13 +122,6 @@ class LossExperimentResult:
     received_count: int
     zero_count: int
     estimate: float
-    truth: float
-
-    @property
-    def empirical_p(self) -> float:
-        if self.received_count == 0:
-            return math.nan
-        return self.zero_count / self.received_count
 
 
 def _merge_outcome_prob(
@@ -200,7 +192,6 @@ def run_loss_experiment(
         if outcome_rng.random() < p0:
             zeros += 1
 
-    truth = channels[0].q_z
     reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
     if received == 0 or reference == 0.0:
         estimate = math.nan
@@ -211,5 +202,4 @@ def run_loss_experiment(
         received_count=received,
         zero_count=zeros,
         estimate=estimate,
-        truth=truth,
     )

@@ -221,7 +221,6 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
             consumed.add(edge_id)
             continue
         # Walk to both ends of the maximal chain through degree-2 interiors.
-        path = [edge_id]
         ends = []
         for direction in (edge.node_a, edge.node_b):
             node, prev_edge = direction, edge_id
@@ -233,7 +232,7 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
                 prev_edge = incident[0]
                 segment.append(prev_edge)
                 node = topology.edges[prev_edge].other(node)
-                if prev_edge == edge_id or prev_edge in path or prev_edge in segment[:-1]:
+                if prev_edge == edge_id or prev_edge in segment[:-1]:
                     raise TopologyError(
                         "cycle composed entirely of degree-2 nodes is unsupported"
                     )
@@ -249,12 +248,7 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
             )
         ordered = [*reversed(seg_a), edge_id, *seg_b]
         consumed.update(ordered)
-        channels = []
-        node = end_a
-        for member in ordered:
-            channels.append(topology.edges[member].channel)
-            node = topology.edges[member].other(node)
-        composite = compose_channels(channels)
+        composite = compose_channels(topology.edges[member].channel for member in ordered)
         equivalents.append(EquivalentChannel(tuple(ordered), end_a, end_b, composite))
 
     new_nodes = {n: k for n, k in topology.nodes.items()}
@@ -417,16 +411,14 @@ def select_mergecast_branches(
     topology: Topology,
     state: EtchingState,
     target: str,
-    merge_node: Optional[str] = None,
 ) -> BranchSelection:
     """Pick the two Mergecast branches for a frontier edge.
 
     The target edge must have an endpoint in the effective monitors; the
-    merge happens at the other endpoint (or at ``merge_node`` when both
-    endpoints qualify and the caller wants to pin the choice).  Branches are
-    edge-disjoint from each other, from the target, and from the identified
-    chains backing every involved effective monitor, so the three physical
-    qubit paths of a run never share a channel.  Selection is deterministic:
+    merge happens at the other endpoint.  Branches are edge-disjoint from
+    each other, from the target, and from the identified chains backing
+    every involved effective monitor, so the three physical qubit paths of
+    a run never share a channel.  Selection is deterministic:
     BFS-shortest branches are tried shortest physical branch first (the
     identified chain behind the monitor included), then in natural monitor
     name order, and the first edge-disjoint pair wins.
@@ -435,8 +427,6 @@ def select_mergecast_branches(
     candidates = []
     for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a)):
         if outer not in state.effective_monitors:
-            continue
-        if merge_node is not None and center != merge_node:
             continue
         candidates.append((outer, center))
     if not candidates:

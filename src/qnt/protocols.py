@@ -87,12 +87,10 @@ PERFECT_SPAM = SpamModel(1.0, 1.0)
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """Result of repeating one protocol: analytic p0 plus observed counts."""
+    """Observed counts from repeating one protocol."""
 
-    p0_analytic: float
     n0: int
     n_total: int
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not 0 <= self.n0 <= self.n_total:
@@ -115,16 +113,14 @@ class ChannelEstimate:
     q_y: float
     q_z: float
 
-    def component(self, basis: str) -> float:
-        return {"X": self.q_x, "Y": self.q_y, "Z": self.q_z}[basis]
 
-
-def _require_nonzero_dressed(channels: Iterable[PauliChannel], basis: str, context: str):
-    for ch in channels:
-        if dress_channel(ch, BASIS_DRESSINGS[basis]).q_z == 0.0:
-            raise ProtocolError(
-                f"{context}: channel with zero {basis} parameter cannot be characterized"
-            )
+def _dressed(channels: Iterable[PauliChannel], basis: str, context: str) -> list[PauliChannel]:
+    """``channels`` dressed for ``basis``; a zero parameter there cannot be characterized."""
+    dressing = BASIS_DRESSINGS[basis]
+    dressed = [dress_channel(ch, dressing) for ch in channels]
+    if any(ch.q_z == 0.0 for ch in dressed):
+        raise ProtocolError(f"{context}: channel with zero {basis} parameter cannot be characterized")
+    return dressed
 
 
 def _send(state: PauliVector1Q, channels: Iterable[PauliChannel]) -> PauliVector1Q:
@@ -146,9 +142,7 @@ def unicast_prob(
     """
     if not path:
         raise ProtocolError("unicast path must be nonempty")
-    _require_nonzero_dressed(path, basis, "unicast")
-    dressing = BASIS_DRESSINGS[basis]
-    state = _send(spam.prepared_state(), (dress_channel(ch, dressing) for ch in path))
+    state = _send(spam.prepared_state(), _dressed(path, basis, "unicast"))
     return _prob_zero(state, spam.m)
 
 
@@ -169,21 +163,25 @@ def mergecast_prob(
     """
     if not branch_a2 or not branch_b:
         raise ProtocolError("mergecast branches must be nonempty")
-    _require_nonzero_dressed([target, *branch_a2, *branch_b], basis, "mergecast")
-    dressing = BASIS_DRESSINGS[basis]
-    control = apply_channel(dress_channel(target, dressing), spam.prepared_state())
-    merged = _send(spam.prepared_state(), (dress_channel(ch, dressing) for ch in branch_a2))
+    dressed = _dressed([target, *branch_a2, *branch_b], basis, "mergecast")
+    split = 1 + len(branch_a2)
+    control = apply_channel(dressed[0], spam.prepared_state())
+    merged = _send(spam.prepared_state(), dressed[1:split])
     pair = apply_cnot(tensor(control, merged), control="first")
     relay = partial_trace(pair, discard="first")
-    relay = _send(relay, (dress_channel(ch, dressing) for ch in branch_b))
+    relay = _send(relay, dressed[split:])
     return _prob_zero(relay, spam.m)
+
+
+def _bypassed_send(channels: Sequence[PauliChannel], spam: SpamModel) -> PauliVector1Q:
+    """A prepared qubit sent through ``channels``, each dressed to pass Z unchanged."""
+    return _send(spam.prepared_state(), (dress_channel(ch, bypass_dressing(ch)) for ch in channels))
 
 
 def bypass_unicast_prob(
     bypassed: Sequence[PauliChannel],
     target: PauliChannel,
     spam: SpamModel = PERFECT_SPAM,
-    tol: float = 1e-12,
 ) -> float:
     """P(outcome 0) when every non-target channel on the route is bypassed.
 
@@ -192,11 +190,7 @@ def bypass_unicast_prob(
     unchanged and only the target attenuates: p = (1 + m s q_Z,target)/2.
     Raises for non-bypassable channels in ``bypassed``.
     """
-    state = spam.prepared_state()
-    for ch in bypassed:
-        state = apply_channel(dress_channel(ch, bypass_dressing(ch, tol)), state)
-    state = apply_channel(target, state)
-    return _prob_zero(state, spam.m)
+    return _prob_zero(apply_channel(target, _bypassed_send(bypassed, spam)), spam.m)
 
 
 def spam_s_protocol_prob(path: Sequence[PauliChannel], spam: SpamModel) -> float:
@@ -235,20 +229,13 @@ def spam_m_protocol_probs(
     return (p00, p01, p10, p11, p00 + p11)
 
 
-def spam_ms_bypass_prob(
-    bypassed_path: Sequence[PauliChannel],
-    spam: SpamModel,
-    tol: float = 1e-12,
-) -> float:
+def spam_ms_bypass_prob(bypassed_path: Sequence[PauliChannel], spam: SpamModel) -> float:
     """P(outcome 0) when the whole route is bypassed: (1 + ms)/2.
 
     Requires every channel on the path to be bypassable; the result is then
     independent of their flip probabilities.
     """
-    state = spam.prepared_state()
-    for ch in bypassed_path:
-        state = apply_channel(dress_channel(ch, bypass_dressing(ch, tol)), state)
-    return _prob_zero(state, spam.m)
+    return _prob_zero(_bypassed_send(bypassed_path, spam), spam.m)
 
 
 def sample_protocol(
@@ -261,12 +248,8 @@ def sample_protocol(
         raise ProtocolError(f"p0 = {p0} outside [0, 1]")
     if n < 1:
         raise ProtocolError("n must be at least 1")
-    if isinstance(seed, np.random.Generator):
-        rng, seed_field = seed, None
-    else:
-        rng, seed_field = substream(seed, "protocol", 0), int(seed)
-    n0 = int(rng.binomial(n, p0))
-    return ProtocolOutcome(p0_analytic=p0, n0=n0, n_total=n, seed=seed_field)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "protocol", 0)
+    return ProtocolOutcome(n0=int(rng.binomial(n, p0)), n_total=n)
 
 
 # An array holds one empirical probability per trial; the estimators then
@@ -328,7 +311,6 @@ class EtchingRun:
 
     estimates: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
-    state: Optional[EtchingState] = None
 
 
 def run_progressive_etching(
@@ -358,7 +340,7 @@ def run_progressive_etching(
         raise ProtocolError("topology not ready for etching: " + "; ".join(map(str, problems)))
     m_samples, n_samples = samples
     state = EtchingState.initial(topology)
-    run = EtchingRun(state=state)
+    run = EtchingRun()
     round_num = 0
 
     while True:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,7 +6,7 @@ import pytest
 
 from qnt import protocols, stats
 from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_spam_grid
-from qnt.experiments import CSV_COLUMNS, ExperimentConfig, rows_to_csv, run_experiment
+from qnt.experiments import CSV_COLUMNS, ExperimentConfig, Row, rows_to_csv, run_experiment
 from qnt.pauli import PauliChannel
 from qnt.protocols import EstimationError, SpamModel
 
@@ -100,6 +101,12 @@ class TestArgParsing:
             ["etch", "--s", "0"],
             ["loss", "--m", "0"],
             ["sweep", "--spam-grid", "1:1;0:1"],
+            ["loss", "--horizon", "0"],
+            ["loss", "--horizon", "-5"],
+            ["loss", "--t-send", "0"],
+            ["loss", "--t-send", "7200"],
+            ["loss", "--t-cutoff", "-1"],
+            ["loss", "--horizon", "inf"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -107,6 +114,61 @@ class TestArgParsing:
             main(argv)
         assert exit_info.value.code == 2
         assert "qnt: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file or directory"),
+            ("node M1 monitor\nnode M1 monitor\n", "line 2: duplicate node id 'M1'"),
+            (
+                "node H internal\nnode A internal\nnode B internal\n"
+                "node M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge E1 H M1 0.8 0.8 0.8\nedge E2 H M2 0.8 0.8 0.8\nedge E3 H M3 0.8 0.8 0.8\n"
+                "edge C1 H A 0.8 0.8 0.8\nedge C2 A B 0.8 0.8 0.8\nedge C3 B H 0.8 0.8 0.8\n",
+                "degree-2 cycle attached to node 'H'",
+            ),
+            (
+                "node H internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge E1 H M1 0.8 0.8 0.8\nedge E2 H M2 0.8 0.8 0.8\nedge E3 H M3 0.8 0.8 0.8\n"
+                "edge E4 M1 M2 0.8 0.8 0.8\n",
+                "cannot be etched: [monitor-degree] M1",
+            ),
+        ],
+        ids=["missing", "parse", "degree-2-cycle", "not-etchable"],
+    )
+    def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "net.topo"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["etch", "--topology", str(path), "--trials", "1", "--m-samples", "1000"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "qnt: error: " in err and message in err
+
+    @pytest.mark.parametrize("name", ["star", "sweep", "spam-s", "spam-m", "etch", "loss"])
+    def test_every_option_names_a_config_field(self, name):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(vars(build_parser().parse_args([name]))) - {"experiment"} <= fields
+
+    def test_loss_defaults_without_flags(self):
+        cfg = config_from_args(build_parser().parse_args(["loss"]))
+        assert cfg.horizon_s == 3600.0
+        assert cfg.t_send_s == (0.1, 0.3, 0.5, 0.7, 0.9)
+        assert cfg.t_cutoff_s == (0.05, 0.35, 0.75, 5.0, 10.0)
+
+    def test_row_values_land_in_their_named_columns(self):
+        values = dict(
+            experiment="x", m_value=1, n_value=2, s=3.5, m=4.5, truth=5.5, mse=6.5,
+            mse_std=7.5, crb=8.5, runtime_ms=9.5, seed=10, target="t", step=11,
+            t_send_s=12.5, t_cutoff_s=13.5,
+        )
+        text = rows_to_csv(small_cfg(), [Row(**values)])
+        line = dict(zip(CSV_COLUMNS, text.splitlines()[2].split(",")))
+        field_of = {"M": "m_value", "N": "n_value"}
+        assert len(values) == len(CSV_COLUMNS)
+        for column in CSV_COLUMNS:
+            assert line[column] == str(values[field_of.get(column, column)])
 
 
 class TestRunExperiment:

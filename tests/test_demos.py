@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 05_lossy_memory.py simulates an hour of lossy sends per cell and takes
+# about 25 s, so it is left out to keep the suite fast.
+DEMOS = sorted(
+    path.name for path in (ROOT / "demos").glob("0*.py") if path.name != "05_lossy_memory.py"
+)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -298,8 +298,8 @@ class TestEstimators:
         assert raw / spam.s == pytest.approx(0.5, abs=ATOL)
 
     def test_counts_interface(self):
-        merge = ProtocolOutcome(0.521875, n0=521875, n_total=1_000_000)
-        uni = ProtocolOutcome(0.54375, n0=543750, n_total=1_000_000)
+        merge = ProtocolOutcome(n0=521875, n_total=1_000_000)
+        uni = ProtocolOutcome(n0=543750, n_total=1_000_000)
         assert estimate_q_mergecast(merge, uni) == pytest.approx(0.5, abs=ATOL)
 
     def test_degenerate_denominator(self):
