@@ -2,13 +2,14 @@
 
     qnt star|sweep|spam-s|spam-m|etch|loss [options]
 
-Common options: --topology FILE --s VAL --m VAL --m-samples LIST
---n-samples LIST --trials K --seed S --out FILE.  Sample lists accept
-comma-separated values and start:stop:step ranges (inclusive stop).  The
-seed falls back to the ``QNT_SEED`` environment variable, then to 12345.
-Default grids are desk scale (step 1000, 100 trials); ``--full-scale``
-restores the reference scale (step 100, 1000 trials unless ``--trials`` is
-given).  Out-of-range input is a usage error (exit status 2).
+Common options: --s VAL --m VAL --trials K --seed S --full-scale --out FILE;
+each subcommand adds only the options its driver reads (``qnt CMD -h``).
+Sample lists accept comma-separated values and start:stop:step ranges
+(inclusive stop).  The seed falls back to the ``QNT_SEED`` environment
+variable, then to 12345.  Default grids are desk scale (step 1000, 100
+trials); ``--full-scale`` restores the reference scale (step 100, 1000
+trials unless ``--trials`` is given).  Out-of-range input is a usage error
+(exit status 2) shown with the subcommand's usage.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def _default_seed() -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built once;
+    parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="qnt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -86,15 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
         # Every dest but "experiment" names an ExperimentConfig field; an
         # option left unset (None) keeps the config's default.
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--topology", dest="topology_path",
-                         help="topology file (etch; defaults to the bundled 19-edge network)")
+        if name == "etch":
+            cmd.add_argument("--topology", dest="topology_path",
+                             help="topology file (defaults to the bundled 19-edge network)")
         cmd.add_argument("--s", type=float, help="preparation parameter s (default 1)")
         cmd.add_argument("--m", type=float, help="measurement parameter m (default 1)")
-        cmd.add_argument("--q", type=parse_float_list, dest="q_params",
-                         help="channel q values, e.g. 0.5,0.25,0.35")
-        cmd.add_argument("--m-samples", type=parse_int_list,
-                         help="merge-side sample sizes (list or start:stop:step)")
-        cmd.add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
+        if name != "etch":
+            cmd.add_argument("--q", type=parse_float_list, dest="q_params",
+                             help="channel q values, e.g. 0.5,0.25,0.35")
+        if name != "loss":
+            cmd.add_argument("--m-samples", type=parse_int_list,
+                             help="merge-side sample sizes (list or start:stop:step)")
+        if name not in ("etch", "loss"):
+            cmd.add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
         cmd.add_argument("--trials", type=int,
                          help="trials per grid cell (default 100, or 1000 with --full-scale)")
         cmd.add_argument("--seed", type=int)
@@ -111,7 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="memory cutoffs in seconds")
             cmd.add_argument("--horizon", type=float, dest="horizon_s",
                              help="simulated time in seconds (default 3600)")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
+    return _parsers()[0]
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -123,12 +134,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
     except ValueError as err:
-        parser.error(str(err))
+        commands[args.experiment].error(str(err))
     write_experiment(cfg)
     return 0
 

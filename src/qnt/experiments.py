@@ -124,7 +124,9 @@ class ExperimentConfig:
             else:
                 raw = topo_io.bundled_topology("fig1")
             simplified, _ = network.simplify_degree2(raw)
-        except (OSError, topo_io.TopologyParseError, network.TopologyError) as err:
+        except OSError as err:  # its str() names the path a second time
+            raise ValueError(f"topology {where}: {err.strerror}") from None
+        except (topo_io.TopologyParseError, network.TopologyError) as err:
             raise ValueError(f"topology {where}: {err}") from None
         problems = network.validate(simplified, require_simplified=True)
         if problems:
@@ -201,24 +203,19 @@ def _ratio_rows(
 ) -> list[Row]:
     """One row per (M, N) cell of a two-protocol ratio estimate of ``truth``.
 
-    The numerator protocol runs M times and the unicast protocol N times per
-    trial.  All trials of a protocol are drawn in one batch from the
-    substream labelled ``{stream}|{M}|{N}|{numerator}`` (``...|uni`` for
-    unicast) at index 0, and each trial estimates
+    Each cell draws all its trials with :func:`protocols.sample_ratio` under
+    the label ``{stream}|{M}|{N}``, and each trial estimates
     ``estimator(p_num_hat, p_uni_hat) / divisor``.
     """
     rows = []
     for m_size in cfg.m_samples:
         for n_size in cfg.n_samples:
             start = time.perf_counter()
-            cell = f"{stream}|{m_size}|{n_size}|"
-            num = stats.substream(cfg.seed, cell + numerator, 0).binomial(
-                m_size, p_num, size=cfg.trials
+            estimates = protocols.sample_ratio(
+                estimator, p_num, p_uni, (m_size, n_size), cfg.seed,
+                f"{stream}|{m_size}|{n_size}", cfg.trials, numerator=numerator,
             )
-            uni = stats.substream(cfg.seed, cell + "uni", 0).binomial(
-                n_size, p_uni, size=cfg.trials
-            )
-            agg = stats.aggregate_mse(estimator(num / m_size, uni / n_size) / divisor, truth)
+            agg = stats.aggregate_mse(estimates / divisor, truth)
             rows.append(
                 Row(
                     experiment=cfg.experiment,
@@ -305,7 +302,7 @@ def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
 
 
 def run_etch(cfg: ExperimentConfig) -> list[Row]:
-    """Progressive etching MSE per edge.
+    """Progressive etching MSE per edge, all trials of an M in one sweep.
 
     N is tied to M: the near-diagonal is where the ratio estimator works
     best, so sweeping one size covers the interesting regime."""
@@ -314,23 +311,14 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
     rows = []
     for m_size in cfg.m_samples:
         start = time.perf_counter()
-        per_edge: dict[str, list[float]] = {e: [] for e in topology.edges}
-        steps: dict[str, int] = {}
-        for trial in range(cfg.trials):
-            run = protocols.run_progressive_etching(
-                topology,
-                spam,
-                samples=(m_size, m_size),
-                seed=_trial_seed(cfg, f"etch|{m_size}", trial),
-                bases=("Z",),
-            )
-            steps = run.steps
-            for edge_id, est in run.estimates.items():
-                per_edge[edge_id].append(est.q_z)
+        run = protocols.run_progressive_etching(
+            topology, spam, samples=(m_size, m_size), seed=_trial_seed(cfg, f"etch|{m_size}", 0),
+            bases=("Z",), trials=cfg.trials,
+        )
         runtime = (time.perf_counter() - start) * 1e3
         for edge_id in topology.sorted_edge_ids():
             truth = topology.edges[edge_id].channel.q_z
-            agg = stats.aggregate_mse(per_edge[edge_id], truth)
+            agg = stats.aggregate_mse(run.estimates[edge_id].q_z, truth)
             rows.append(
                 Row(
                     experiment=cfg.experiment,
@@ -345,7 +333,7 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
                     runtime_ms=runtime,
                     seed=cfg.seed,
                     target=edge_id,
-                    step=steps.get(edge_id),
+                    step=run.steps[edge_id],
                 )
             )
     return rows

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,13 +105,13 @@ class ProtocolOutcome:
 class ChannelEstimate:
     """Raw per-basis estimates of a channel's (q_X, q_Y, q_Z).
 
-    Estimates are reported unclamped, so sampling noise can push them
-    outside [-1, 1]; they are deliberately not a validated PauliChannel.
+    Estimates (floats, NaN for a basis not run, or arrays of one per trial) are
+    unclamped, so sampling noise can push them outside [-1, 1]; not a PauliChannel.
     """
 
-    q_x: float
-    q_y: float
-    q_z: float
+    q_x: Union[float, np.ndarray]
+    q_y: Union[float, np.ndarray]
+    q_z: Union[float, np.ndarray]
 
 
 def _dressed(channels: Iterable[PauliChannel], basis: str, context: str) -> list[PauliChannel]:
@@ -257,10 +257,34 @@ def sample_protocol(
 ProbabilityLike = Union[ProtocolOutcome, float, np.ndarray]
 
 
+def sample_ratio(
+    estimator: Callable, p_num: float, p_uni: float, samples: tuple[int, int], seed: int,
+    label: str, trials: Optional[int], numerator: str = "merge",
+) -> Union[float, np.ndarray]:
+    """``estimator(p_num_hat, p_uni_hat)`` over ``samples = (M, N)`` runs of two protocols.
+
+    Each protocol's trials are one ``binomial(..., size=trials)`` draw from the substream
+    ``{label}|{numerator}`` or ``{label}|uni`` at index 0; ``trials=None`` gives a float.
+    """
+    m_size, n_size = samples
+    if min(samples) < 1:
+        raise ProtocolError(f"sample sizes must be at least 1, got {samples}")
+    num = substream(seed, f"{label}|{numerator}", 0).binomial(m_size, p_num, size=trials)
+    uni = substream(seed, f"{label}|uni", 0).binomial(n_size, p_uni, size=trials)
+    return estimator(num / m_size, uni / n_size)
+
+
 def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
     if isinstance(value, ProtocolOutcome):
         return value.empirical_p
     return value if isinstance(value, np.ndarray) else float(value)
+
+
+def _check_divisor(divisor: Union[float, np.ndarray], what: str) -> None:
+    """Raise ``EstimationError`` naming the first entry of ``divisor`` too close to zero."""
+    degenerate = np.abs(divisor) < DEGENERATE_DENOMINATOR_TOL
+    if degenerate.any():  # the method, not np.any: a third of the cost on tiny arrays
+        raise EstimationError(f"{what} {np.ravel(divisor)[np.argmax(degenerate)]} is degenerate")
 
 
 def _ratio(
@@ -268,11 +292,7 @@ def _ratio(
 ) -> Union[float, np.ndarray]:
     num = 2.0 * _p_hat(numerator) - 1.0
     den = 2.0 * _p_hat(denominator) - 1.0
-    degenerate = np.abs(den) < DEGENERATE_DENOMINATOR_TOL
-    if np.any(degenerate):
-        raise EstimationError(
-            f"{what}: denominator 2*p-1 = {np.ravel(den)[np.argmax(degenerate)]} is degenerate"
-        )
+    _check_divisor(den, f"{what}: denominator 2*p-1 =")
     return num / den
 
 
@@ -305,8 +325,9 @@ def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndar
 class EtchingRun:
     """Output of one etching sweep over a topology.
 
-    ``estimates`` holds the raw per-basis estimate triple for each edge and
-    ``steps`` the 1-based round in which the edge was identified.
+    ``estimates`` holds the raw per-basis estimate triple for each edge
+    (arrays when the sweep ran ``trials``) and ``steps`` the 1-based round in
+    which the edge was identified.
     """
 
     estimates: dict = field(default_factory=dict)
@@ -319,6 +340,7 @@ def run_progressive_etching(
     samples: tuple[int, int],
     seed: int,
     bases: Sequence[str] = ("Z", "X", "Y"),
+    trials: Optional[int] = None,
 ) -> EtchingRun:
     """Identify every channel of a simplified topology, periphery inward.
 
@@ -333,12 +355,14 @@ def run_progressive_etching(
 
     Sampling uses independent substreams keyed by (seed, edge, basis,
     protocol), so a run is fully reproducible and edges may be processed in
-    parallel without sharing generator state.
+    parallel without sharing generator state.  ``trials`` follows numpy's
+    ``size``: ``None`` gives float estimates, an int arrays of that many
+    trials, each divided by its own chain correction, from one sweep.
     """
     problems = network.validate(topology, require_simplified=True)
     if problems:
         raise ProtocolError("topology not ready for etching: " + "; ".join(map(str, problems)))
-    m_samples, n_samples = samples
+    unmeasured = math.nan if trials is None else np.full(trials, math.nan)
     state = EtchingState.initial(topology)
     run = EtchingRun()
     round_num = 0
@@ -348,7 +372,7 @@ def run_progressive_etching(
         if not frontier:
             break
         round_num += 1
-        round_results: dict[str, dict[str, float]] = {}
+        round_results: dict[str, dict] = {}
         promotions: list[tuple[str, str]] = []
 
         for target in frontier:
@@ -359,24 +383,18 @@ def run_progressive_etching(
             a2_true = [edges[e].channel for e in selection.full_a2]
             b_true = [edges[e].channel for e in selection.full_b]
 
-            per_basis: dict[str, float] = {}
+            per_basis = {}
             for basis in bases:
-                p_merge = mergecast_prob(target_true, a2_true, b_true, spam, basis)
-                p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
-                merge_out = sample_protocol(
-                    p_merge, m_samples, substream(seed, f"etch|{target}|{basis}|merge", 0)
+                ratio = sample_ratio(
+                    estimate_q_mergecast,
+                    mergecast_prob(target_true, a2_true, b_true, spam, basis),
+                    unicast_prob([*a2_true, *b_true], spam, basis),
+                    samples, seed, f"etch|{target}|{basis}", trials,
                 )
-                uni_out = sample_protocol(
-                    p_uni, n_samples, substream(seed, f"etch|{target}|{basis}|uni", 0)
-                )
-                ratio = estimate_q_mergecast(merge_out, uni_out)
                 correction = spam.s
                 for chain_edge in selection.target_chain:
                     correction *= state.identified[chain_edge][basis]
-                if abs(correction) < DEGENERATE_DENOMINATOR_TOL:
-                    raise EstimationError(
-                        f"edge {target!r}, basis {basis}: chain correction {correction} degenerate"
-                    )
+                _check_divisor(correction, f"edge {target!r}, basis {basis}: chain correction")
                 per_basis[basis] = ratio / correction
             round_results[target] = per_basis
             if selection.merge_node not in state.effective_monitors:
@@ -385,11 +403,7 @@ def run_progressive_etching(
         for target, per_basis in round_results.items():
             state.identified[target] = per_basis
             run.steps[target] = round_num
-            run.estimates[target] = ChannelEstimate(
-                q_x=per_basis.get("X", math.nan),
-                q_y=per_basis.get("Y", math.nan),
-                q_z=per_basis.get("Z", math.nan),
-            )
+            run.estimates[target] = ChannelEstimate(*(per_basis.get(b, unmeasured) for b in "XYZ"))
         for node, via_edge in promotions:
             if node not in state.effective_monitors:
                 state.effective_monitors.add(node)

@@ -35,6 +35,17 @@ def normalize_runtime(text: str) -> str:
     return "\n".join(out)
 
 
+# Options of other subcommands; each is rejected by argparse itself.
+UNKNOWN_OPTIONS = [
+    ["etch", "--n-samples", "5"],
+    ["etch", "--q", "0.1"],
+    ["loss", "--m-samples", "100"],
+    ["loss", "--topology", "net.topo"],
+    ["star", "--topology", "net.topo"],
+    ["spam-s", "--t-send", "0.5"],
+]
+
+
 class TestArgParsing:
     def test_int_list_forms(self):
         assert parse_int_list("100,200") == (100, 200)
@@ -107,13 +118,18 @@ class TestArgParsing:
             ["loss", "--t-send", "7200"],
             ["loss", "--t-cutoff", "-1"],
             ["loss", "--horizon", "inf"],
+            *UNKNOWN_OPTIONS,
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "qnt: error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv in UNKNOWN_OPTIONS:
+            assert "qnt: error: unrecognized arguments: " in err
+        else:  # a config error shows the usage of the subcommand that was run
+            assert f"usage: qnt {argv[0]} " in err and f"qnt {argv[0]}: error: " in err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -144,7 +160,8 @@ class TestArgParsing:
             main(["etch", "--topology", str(path), "--trials", "1", "--m-samples", "1000"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "qnt: error: " in err and message in err
+        assert "usage: qnt etch " in err and "qnt etch: error: " in err and message in err
+        assert err.count(str(path)) == 1
 
     @pytest.mark.parametrize("name", ["star", "sweep", "spam-s", "spam-m", "etch", "loss"])
     def test_every_option_names_a_config_field(self, name):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qnt import oracle
-from qnt.pauli import ATOL, Dressing, PauliChannel, PauliVector1Q, dress_channel
+from qnt import network, oracle, protocols
+from qnt.experiments import ExperimentConfig, run_experiment
+from qnt.network import Edge, EtchingState, Topology, natural_key
+from qnt.pauli import ATOL, Dressing, PauliChannel, PauliVector1Q, compose_channels, dress_channel
 from qnt.protocols import (
     ALL_CYCLING_VARIANTS,
     CyclingVariant,
@@ -30,10 +32,11 @@ from qnt.protocols import (
     spam_s_protocol_prob,
     unicast_prob,
 )
-from qnt.stats import substream
+from qnt.stats import aggregate_mse, substream
 from qnt.topo_io import bundled_topology
 
 from conftest import random_channel
+from test_network import random_tree
 
 STAR = (
     PauliChannel(0.5, 0.5, 0.5),
@@ -453,3 +456,191 @@ class TestProgressiveEtching:
         ]
         with pytest.raises(ProtocolError):
             run_progressive_etching(Topology(nodes, edges), SpamModel(1, 1), (100, 100), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# One etching sweep for all trials, checked against the per-trial scalar sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_etch(topology, spam, samples, bases, rng_for):
+    """The per-trial scalar sweep that one batched sweep replaces: a
+    ``sample_protocol`` draw and a scalar estimate per protocol, then a
+    scalar chain correction.  ``rng_for(label)`` gives the generator of a
+    stream label.  Returns (estimates[edge][basis], steps)."""
+    assert network.validate(topology, require_simplified=True) == []
+    m_samples, n_samples = samples
+    state = EtchingState.initial(topology)
+    estimates, steps = {}, {}
+    round_num = 0
+    while True:
+        frontier = sorted(network.peripheral_edges(topology, state), key=natural_key)
+        if not frontier:
+            return estimates, steps
+        round_num += 1
+        round_results, promotions = {}, []
+        for target in frontier:
+            selection = network.select_mergecast_branches(topology, state, target)
+            edges = topology.edges
+            chain_true = [edges[e].channel for e in selection.target_chain]
+            target_true = compose_channels([*chain_true, edges[target].channel])
+            a2_true = [edges[e].channel for e in selection.full_a2]
+            b_true = [edges[e].channel for e in selection.full_b]
+            per_basis = {}
+            for basis in bases:
+                p_merge = mergecast_prob(target_true, a2_true, b_true, spam, basis)
+                p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
+                merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{target}|{basis}|merge"))
+                uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{target}|{basis}|uni"))
+                ratio = estimate_q_mergecast(merge_out, uni_out)
+                correction = spam.s
+                for chain_edge in selection.target_chain:
+                    correction *= state.identified[chain_edge][basis]
+                if abs(correction) < 1e-9:
+                    raise EstimationError(f"edge {target!r}, basis {basis}: chain correction {correction}")
+                per_basis[basis] = ratio / correction
+            round_results[target] = per_basis
+            if selection.merge_node not in state.effective_monitors:
+                promotions.append((selection.merge_node, target))
+        for target, per_basis in round_results.items():
+            state.identified[target] = per_basis
+            estimates[target] = per_basis
+            steps[target] = round_num
+        for node, via_edge in promotions:
+            if node not in state.effective_monitors:
+                state.effective_monitors.add(node)
+                state.promoted_via[node] = via_edge
+
+
+def fresh_streams(seed):
+    """A new generator per draw, as one scalar sweep makes them."""
+    return lambda label: substream(seed, label, 0)
+
+
+def shared_streams(seed):
+    """One generator per label, drawn from again by each successive sweep."""
+    streams = {}
+
+    def rng_for(label):
+        if label not in streams:
+            streams[label] = substream(seed, label, 0)
+        return streams[label]
+
+    return rng_for
+
+
+def flip_tree(seed: int, n_edges: int) -> Topology:
+    """A seeded tree (internal degree >= 3, monitors on the leaves) whose
+    channels all differ, so an estimate divided by the wrong chain shows."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(seed, n_edges)
+    edges = [
+        Edge(e.edge_id, e.node_a, e.node_b, PauliChannel.from_probabilities(*rng.uniform(0.005, 0.04, 3)))
+        for e in tree.edges.values()
+    ]
+    return Topology(dict(tree.nodes), edges)
+
+
+ETCH_SPAM = SpamModel(0.9, 0.95)
+ETCH_SAMPLES = (20_000, 20_000)
+ETCH_CASES = [
+    ("fig1", lambda: bundled_topology("fig1"), ("Z", "X", "Y")),
+    ("tree0", lambda: flip_tree(0, 20), ("Z",)),
+    ("tree1", lambda: flip_tree(1, 35), ("Z", "Y")),
+    ("tree2", lambda: flip_tree(2, 50), ("X",)),
+    ("tree3", lambda: flip_tree(3, 80), ("Z",)),
+]
+
+
+def field_values(estimate):
+    return {"X": estimate.q_x, "Y": estimate.q_y, "Z": estimate.q_z}
+
+
+class TestEtchingMatchesReference:
+    @pytest.mark.parametrize("make, bases", [c[1:] for c in ETCH_CASES], ids=[c[0] for c in ETCH_CASES])
+    def test_one_trial_equals_scalar_sweep(self, make, bases):
+        topology = make()
+        run = run_progressive_etching(topology, ETCH_SPAM, ETCH_SAMPLES, seed=31, bases=bases)
+        expected, steps = reference_etch(topology, ETCH_SPAM, ETCH_SAMPLES, bases, fresh_streams(31))
+        assert run.steps == steps
+        assert set(run.estimates) == set(expected) == set(topology.edges)
+        for edge_id, per_basis in expected.items():
+            for basis, value in field_values(run.estimates[edge_id]).items():
+                assert isinstance(value, float)
+                if basis in bases:
+                    assert value == per_basis[basis]
+                else:
+                    assert math.isnan(value)
+
+    @pytest.mark.parametrize("make, bases", [c[1:] for c in ETCH_CASES], ids=[c[0] for c in ETCH_CASES])
+    def test_trial_k_equals_kth_successive_scalar_sweep(self, make, bases):
+        topology = make()
+        trials = 6
+        run = run_progressive_etching(
+            topology, ETCH_SPAM, ETCH_SAMPLES, seed=32, bases=bases, trials=trials
+        )
+        rng_for = shared_streams(32)
+        for k in range(trials):
+            expected, steps = reference_etch(topology, ETCH_SPAM, ETCH_SAMPLES, bases, rng_for)
+            assert run.steps == steps
+            for edge_id, per_basis in expected.items():
+                for basis, values in field_values(run.estimates[edge_id]).items():
+                    assert values.shape == (trials,)
+                    if basis in bases:
+                        assert values[k] == per_basis[basis]
+                    else:
+                        assert math.isnan(values[k])
+
+    def test_run_etch_rows_are_the_mse_of_successive_scalar_sweeps(self):
+        cfg = ExperimentConfig("etch", seed=8, trials=7, s=0.9, m=0.95, m_samples=(3000, 9000))
+        rows = run_experiment(cfg)
+        topology = cfg.topology
+        assert len(rows) == 2 * len(topology.edges)
+        for m_size in cfg.m_samples:
+            seed = int(substream(cfg.seed, f"etch|{m_size}", 0).integers(0, 2**63))
+            rng_for = shared_streams(seed)
+            sweeps = [
+                reference_etch(topology, cfg.spam, (m_size, m_size), ("Z",), rng_for)
+                for _ in range(cfg.trials)
+            ]
+            for row in (r for r in rows if r.m_value == m_size):
+                truth = topology.edges[row.target].channel.q_z
+                reference = aggregate_mse([est[row.target]["Z"] for est, _ in sweeps], truth)
+                assert (row.n_value, row.truth, row.step) == (m_size, truth, sweeps[0][1][row.target])
+                assert row.mse == reference.mse
+                assert row.mse_std == reference.mse_std
+
+
+def two_hub_topology() -> Topology:
+    """Hubs A and B, two monitors each, joined by C: C's chain is one first-round edge."""
+    nodes = {"A": "internal", "B": "internal", **{f"M{i}": "monitor" for i in range(1, 5)}}
+    links = [("E1", "A", "M1"), ("E2", "A", "M2"), ("E3", "B", "M3"), ("E4", "B", "M4"), ("C", "A", "B")]
+    return Topology(nodes, [Edge(e, a, b, uniform_channel(0.8)) for e, a, b in links])
+
+
+class TestBatchedEtchingGuards:
+    def test_one_degenerate_trial_in_a_batch_raises(self, monkeypatch):
+        real = protocols.sample_ratio
+
+        def forced(*args, **kwargs):
+            estimates = real(*args, **kwargs)
+            if args[5].startswith("etch|E"):  # the first-round edges
+                estimates[2:] = (3e-10, 0.0)
+            return estimates
+
+        monkeypatch.setattr(protocols, "sample_ratio", forced)
+        with pytest.raises(EstimationError, match=r"^edge 'C', basis Z: chain correction 3e-10 "):
+            run_progressive_etching(
+                two_hub_topology(), SpamModel(1, 1), (10_000, 10_000), seed=4, bases=("Z",), trials=4
+            )
+
+    def test_the_same_sweep_without_the_forced_trials_passes(self):
+        run = run_progressive_etching(
+            two_hub_topology(), SpamModel(1, 1), (10_000, 10_000), seed=4, bases=("Z",), trials=4
+        )
+        assert run.steps["C"] == 2 and run.estimates["C"].q_z.shape == (4,)
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    def test_zero_samples_raise(self, trials):
+        with pytest.raises(ProtocolError, match="sample sizes must be at least 1"):
+            run_progressive_etching(bundled_topology("fig1"), SpamModel(1, 1), (0, 0), seed=1, trials=trials)
