@@ -5,7 +5,7 @@ Photons survive each 10 km fiber with probability (1 - 0.5) e^{-0.5} =
 dephasing (T2 = 1 s), and is discarded after the cutoff T_c.  Longer
 cutoffs merge more qubits but inject memory noise into the estimate.
 
-Run:  python demos/05_lossy_memory.py    (about a minute)
+Run:  python demos/05_lossy_memory.py    (a few seconds)
 """
 
 import numpy as np

@@ -8,8 +8,9 @@ Sample lists accept comma-separated values and start:stop:step ranges
 (inclusive stop).  The seed falls back to the ``QNT_SEED`` environment
 variable, then to 12345.  Default grids are desk scale (step 1000, 100
 trials); ``--full-scale`` restores the reference scale (step 100, 1000
-trials unless ``--trials`` is given).  Out-of-range input is a usage error
-(exit status 2) shown with the subcommand's usage.
+trials unless ``--trials`` is given).  Out-of-range input and options of
+another subcommand are usage errors (exit status 2) shown with the
+subcommand's usage.
 """
 
 from __future__ import annotations
@@ -135,11 +136,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, commands = _parsers()
-    args = parser.parse_args(argv)
+    # argparse hands a subcommand's unknown arguments to the top-level
+    # parser; report them with the subcommand's usage instead
+    args, unknown = parser.parse_known_args(argv)
+    command = commands[args.experiment]
+    if unknown:
+        command.error("unrecognized arguments: " + " ".join(unknown))
     try:
         cfg = config_from_args(args)
     except ValueError as err:
-        commands[args.experiment].error(str(err))
+        command.error(str(err))
     write_experiment(cfg)
     return 0
 

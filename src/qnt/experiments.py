@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import lossy, network, protocols, stats, topo_io
-from .pauli import PauliChannel
+from .pauli import ChannelValidationError, PauliChannel
 from .protocols import SpamModel
 
 CSV_COLUMNS = (
@@ -61,9 +61,9 @@ LOSS_MEMORY_T2_S = 1.0
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults.  Out-of-range values, including a zero SPAM parameter, loss
-    timings that :mod:`qnt.lossy` rejects and an etch topology that cannot
-    be read or etched, raise ``ValueError``."""
+    defaults.  Out-of-range values, including a zero SPAM parameter or q
+    divisor, loss timings that :mod:`qnt.lossy` rejects and an etch
+    topology that cannot be read or etched, raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -98,6 +98,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.experiment} needs {needed} q values, got {len(self.q_params)}"
             )
+        for index, q in enumerate(self.q_params[:needed], start=1):
+            try:
+                PauliChannel(q, q, q)  # a depolarizing channel needs q in [-1/3, 1]
+            except ChannelValidationError as err:
+                raise ValueError(f"q{index} = {q!r} is not a channel: {err}") from None
+            if q == 0 and (self.experiment != "loss" or index > 1):
+                # every estimator divides by these q; loss divides by q2 q3 only
+                raise ValueError(f"q values must be nonzero, got q{index} = {q!r}")
         for s, m in ((self.s, self.m), *self.spam_grid):
             SpamModel(s, m)  # raises ProtocolError, a ValueError, outside [0, 1]
             if s == 0 or m == 0:

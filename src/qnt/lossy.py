@@ -20,8 +20,9 @@ bitwise identical.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .pauli import PauliChannel, PauliVector1Q, apply_channel, apply_cnot, partial_trace, tensor
 from .protocols import PERFECT_SPAM, SpamModel
@@ -154,52 +155,42 @@ def run_loss_experiment(
 ) -> LossExperimentResult:
     """Simulate the lossy merge protocol over the schedule horizon.
 
-    Randomness is split into three substreams (arrivals, relay-fiber loss,
-    measurement outcomes) that are consumed independently of the cutoff, so
-    runs sharing a seed differ only through cutoff-dependent *behavior*:
-    for all cutoffs below the send interval the counts coincide exactly.
+    Arrivals pair first-in first-out; a qubit that would wait past the
+    cutoff is dropped.  Randomness is split into three substreams (arrivals,
+    relay-fiber loss, measurement outcomes) that are consumed independently
+    of the cutoff, so for all cutoffs below the send interval the counts
+    coincide exactly.  The state pipeline runs once per distinct wait pair.
     """
     p_s = survival_prob(fiber)
-    n_slots = schedule.n_slots
     dt = schedule.send_interval_s
+    arrived = substream(seed, "loss-arrivals", 0).random((schedule.n_slots, 2)) < p_s
+    first, second = (np.flatnonzero(arrived[:, root]).tolist() for root in (0, 1))
 
-    arrivals = substream(seed, "loss-arrivals", 0).random((n_slots, 2))
-    relay_rng = substream(seed, "loss-relay", 0)
-    outcome_rng = substream(seed, "loss-outcomes", 0)
+    gaps: list[tuple[int, int]] = []  # per merge, each root's wait in slots
+    i = j = 0
+    while i < len(first) and j < len(second):
+        gap = second[j] - first[i]
+        if abs(gap) * dt > memory.cutoff_s + TIME_EPS:  # the earlier qubit expired
+            i, j = (i + 1, j) if gap > 0 else (i, j + 1)
+        else:
+            gaps.append((max(gap, 0), max(-gap, 0)))
+            i, j = i + 1, j + 1
 
-    waiting: tuple[deque, deque] = (deque(), deque())
-    merges: list[tuple[float, float]] = []
-    for slot in range(n_slots):
-        for root in (0, 1):
-            queue = waiting[root]
-            while queue and (slot - queue[0]) * dt > memory.cutoff_s + TIME_EPS:
-                queue.popleft()
-            if arrivals[slot, root] < p_s:
-                queue.append(slot)
-        while waiting[0] and waiting[1]:
-            s1 = waiting[0].popleft()
-            s2 = waiting[1].popleft()
-            merges.append(((slot - s1) * dt, (slot - s2) * dt))
-
-    merged_count = len(merges)
-    received = 0
-    zeros = 0
-    for waits in merges:
-        if relay_rng.random() >= p_s:
-            continue
-        received += 1
-        p0 = _merge_outcome_prob(channels, waits, memory, spam)
-        if outcome_rng.random() < p0:
-            zeros += 1
+    relayed = substream(seed, "loss-relay", 0).random(len(gaps)) < p_s
+    received = [pair for pair, kept in zip(gaps, relayed) if kept]
+    outcomes = substream(seed, "loss-outcomes", 0).random(len(received))
+    prob = {pair: _merge_outcome_prob(channels, (pair[0] * dt, pair[1] * dt), memory, spam)
+            for pair in set(received)}
+    zeros = int(sum(u < prob[pair] for u, pair in zip(outcomes, received)))
 
     reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
-    if received == 0 or reference == 0.0:
+    if not received or reference == 0.0:
         estimate = math.nan
     else:
-        estimate = (2.0 * zeros / received - 1.0) / reference
+        estimate = (2.0 * zeros / len(received) - 1.0) / reference
     return LossExperimentResult(
-        merged_count=merged_count,
-        received_count=received,
+        merged_count=len(gaps),
+        received_count=len(received),
         zero_count=zeros,
         estimate=estimate,
     )

@@ -35,7 +35,7 @@ def normalize_runtime(text: str) -> str:
     return "\n".join(out)
 
 
-# Options of other subcommands; each is rejected by argparse itself.
+# Options of other subcommands; each is rejected as an unrecognized argument.
 UNKNOWN_OPTIONS = [
     ["etch", "--n-samples", "5"],
     ["etch", "--q", "0.1"],
@@ -82,6 +82,11 @@ class TestArgParsing:
         assert (configs[1]["s"], configs[1]["seed"]) == (1.0, 12345)
         assert build_parser() is build_parser()
 
+    def test_loss_accepts_zero_q1(self):
+        # the loss estimate divides by q2 q3 only, so q1 = 0 is a valid truth
+        args = build_parser().parse_args(["loss", "--q", "0,0.25,0.35"])
+        assert config_from_args(args).q_params == (0.0, 0.25, 0.35)
+
     @pytest.mark.parametrize(
         "argv, trials",
         [
@@ -119,6 +124,15 @@ class TestArgParsing:
             ["loss", "--t-cutoff", "-1"],
             ["loss", "--horizon", "inf"],
             *UNKNOWN_OPTIONS,
+            ["star", "--q", "2,0.25,0.35"],
+            ["star", "--q=-0.5,0.25,0.35"],
+            ["star", "--q", "0.5,0,0.35"],
+            ["sweep", "--q", "0,0.25,0.35"],
+            ["spam-s", "--q", "0.5,0"],
+            ["spam-m", "--q", "0.5,0"],
+            ["loss", "--q", "0.5,0,0.35"],
+            ["loss", "--q", "0.5,0.25,0"],
+            ["loss", "--q", "1.5,0.25,0.35"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -126,10 +140,12 @@ class TestArgParsing:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
+        # every error shows the usage of the subcommand that was run
+        assert f"usage: qnt {argv[0]} " in err
         if argv in UNKNOWN_OPTIONS:
-            assert "qnt: error: unrecognized arguments: " in err
-        else:  # a config error shows the usage of the subcommand that was run
-            assert f"usage: qnt {argv[0]} " in err and f"qnt {argv[0]}: error: " in err
+            assert f"qnt {argv[0]}: error: unrecognized arguments: " in err
+        else:
+            assert f"qnt {argv[0]}: error: " in err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -7,11 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_lossy_memory.py simulates an hour of lossy sends per cell and takes
-# about 25 s, so it is left out to keep the suite fast.
-DEMOS = sorted(
-    path.name for path in (ROOT / "demos").glob("0*.py") if path.name != "05_lossy_memory.py"
-)
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

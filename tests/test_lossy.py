@@ -1,11 +1,14 @@
 import math
+from collections import deque
 
 import pytest
 from numpy.testing import assert_allclose
 
-from qnt import oracle
+from qnt import lossy, oracle
 from qnt.lossy import (
+    TIME_EPS,
     FiberParams,
+    LossExperimentResult,
     MemoryParams,
     Schedule,
     decohere,
@@ -13,7 +16,8 @@ from qnt.lossy import (
     survival_prob,
 )
 from qnt.pauli import ATOL, PauliChannel, PauliVector1Q
-from qnt.protocols import SpamModel
+from qnt.protocols import PERFECT_SPAM, SpamModel
+from qnt.stats import substream
 
 from conftest import random_state
 
@@ -185,3 +189,104 @@ class TestRunLossExperiment:
         a = run_loss_experiment(STAR, REFERENCE_FIBER, memory(0.75), sched, seed=12)
         b = run_loss_experiment(STAR, REFERENCE_FIBER, memory(0.75), sched, seed=12)
         assert a == b
+
+
+def reference_loss(channels, fiber, memory, schedule, spam=PERFECT_SPAM, seed=0):
+    """The slot-by-slot simulation that pairing arrivals replaces: a queue of
+    waiting qubits per root, aged out at every slot, and one relay draw,
+    state pipeline and outcome draw per merge."""
+    p_s = survival_prob(fiber)
+    n_slots = schedule.n_slots
+    dt = schedule.send_interval_s
+    arrivals = substream(seed, "loss-arrivals", 0).random((n_slots, 2))
+    relay_rng = substream(seed, "loss-relay", 0)
+    outcome_rng = substream(seed, "loss-outcomes", 0)
+
+    waiting = (deque(), deque())
+    merges = []
+    for slot in range(n_slots):
+        for root in (0, 1):
+            queue = waiting[root]
+            while queue and (slot - queue[0]) * dt > memory.cutoff_s + TIME_EPS:
+                queue.popleft()
+            if arrivals[slot, root] < p_s:
+                queue.append(slot)
+        while waiting[0] and waiting[1]:
+            s1 = waiting[0].popleft()
+            s2 = waiting[1].popleft()
+            merges.append(((slot - s1) * dt, (slot - s2) * dt))
+
+    received = zeros = 0
+    for waits in merges:
+        if relay_rng.random() >= p_s:
+            continue
+        received += 1
+        if outcome_rng.random() < lossy._merge_outcome_prob(channels, waits, memory, spam):
+            zeros += 1
+    reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
+    if received == 0 or reference == 0.0:
+        estimate = math.nan
+    else:
+        estimate = (2.0 * zeros / received - 1.0) / reference
+    return LossExperimentResult(len(merges), received, zeros, estimate)
+
+
+LOSSLESS_FIBER = FiberParams(10, 2e5, 0.0, 0.0)
+DEAD_FIBER = FiberParams(10, 2e5, 1.0, 0.05)
+# (fiber, send interval, horizon, cutoff, spam); a cutoff of k dt - TIME_EPS
+# keeps a qubit whose wait is exactly k dt, since only waits beyond
+# cutoff + TIME_EPS expire
+REFERENCE_CASES = [
+    *((REFERENCE_FIBER, 0.5, 600.0, cutoff, PERFECT_SPAM)
+      for cutoff in (0.0, 0.05, 0.35, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 - TIME_EPS, 5.0)),
+    *((REFERENCE_FIBER, 0.1, 300.0, cutoff, PERFECT_SPAM)
+      for cutoff in (3 * 0.1 - 1e-10, 3 * 0.1, 3 * 0.1 + 1e-10, 3 * 0.1 - TIME_EPS, 10.0)),
+    (REFERENCE_FIBER, 0.5, 600.0, 2.0, SpamModel(0.9, 0.8)),
+    (LOSSLESS_FIBER, 0.5, 100.0, 0.75, PERFECT_SPAM),
+    (DEAD_FIBER, 0.5, 100.0, 0.75, PERFECT_SPAM),
+    *((fiber, 0.5, 0.5, 0.75, PERFECT_SPAM) for fiber in (REFERENCE_FIBER, LOSSLESS_FIBER)),
+]
+
+
+class TestMatchesSlotReference:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("fiber, t_send, horizon, cutoff, spam", REFERENCE_CASES)
+    def test_same_result_as_slot_loop(self, fiber, t_send, horizon, cutoff, spam, seed):
+        args = (STAR, fiber, memory(cutoff), Schedule(t_send, horizon), spam, seed)
+        got, want = run_loss_experiment(*args), reference_loss(*args)
+        assert (got.merged_count, got.received_count, got.zero_count) == (
+            want.merged_count, want.received_count, want.zero_count)
+        assert got.estimate == want.estimate or (math.isnan(got.estimate) and math.isnan(want.estimate))
+        assert all(type(count) is int for count in (got.merged_count, got.received_count, got.zero_count))
+
+    def test_boundary_cases_exercise_drops_and_edges(self):
+        # the cases above must reach the behaviour they pin: dropped qubits
+        # at the exact k dt boundary, an empty run, and a one-slot horizon
+        sched = Schedule(0.5, 600.0)
+        at_boundary = reference_loss(STAR, REFERENCE_FIBER, memory(1.0 - TIME_EPS), sched, seed=3)
+        below = reference_loss(STAR, REFERENCE_FIBER, memory(1.0 - 2 * TIME_EPS), sched, seed=3)
+        assert at_boundary.merged_count > below.merged_count
+        assert reference_loss(STAR, DEAD_FIBER, memory(0.75), sched, seed=3).merged_count == 0
+        one_slot = reference_loss(STAR, LOSSLESS_FIBER, memory(0.75), Schedule(0.5, 0.5), seed=3)
+        assert (one_slot.merged_count, one_slot.received_count) == (1, 1)
+
+    @pytest.mark.parametrize("t_send, cutoff", [(0.5, 0.35), (0.5, 5.0), (0.1, 10.0)])
+    def test_pipeline_runs_once_per_received_wait_pair(self, t_send, cutoff, monkeypatch):
+        calls = []
+        real = lossy._merge_outcome_prob
+
+        def recording(channels, waits, memory, spam):
+            calls.append(waits)
+            return real(channels, waits, memory, spam)
+
+        monkeypatch.setattr(lossy, "_merge_outcome_prob", recording)
+        args = (STAR, REFERENCE_FIBER, memory(cutoff), Schedule(t_send, 300.0))
+        reference_loss(*args, seed=5)  # one call per received merge
+        per_merge = list(calls)
+        calls.clear()
+        run_loss_experiment(*args, seed=5)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(per_merge)
+        assert len(calls) < len(per_merge)
+        if cutoff < t_send:  # every merge is wait-free
+            assert calls == [(0.0, 0.0)]
