@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
+import sys
 from typing import Optional, Sequence
 
 from .experiments import ExperimentConfig, write_experiment
@@ -134,11 +136,29 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+# argparse reads a value that starts like a negative number but is not one
+# plain number ("-0.2,0.25,0.35") as an option; "--q=-0.2,0.25,0.35" is a value.
+_OPTION = re.compile(r"--\w[\w-]*")
+_DASHED_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_dashed_values(argv: Sequence[str]) -> list[str]:
+    """``--opt -0.2,...`` as ``--opt=-0.2,...``."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and _OPTION.fullmatch(joined[-1]) and _DASHED_VALUE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, commands = _parsers()
     # argparse hands a subcommand's unknown arguments to the top-level
     # parser; report them with the subcommand's usage instead
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = parser.parse_known_args(
+        _join_dashed_values(sys.argv[1:] if argv is None else argv))
     command = commands[args.experiment]
     if unknown:
         command.error("unrecognized arguments: " + " ".join(unknown))

@@ -82,11 +82,14 @@ class Topology:
             adjacency[edge.node_a].append(edge.edge_id)
             if edge.node_b != edge.node_a:
                 adjacency[edge.node_b].append(edge.edge_id)
+        # Natural-order keys of every node and edge name, computed once.
+        self._keys = {name: natural_key(name) for name in (*node_map, *edge_map)}
         for node in adjacency:
-            adjacency[node].sort(key=natural_key)
+            adjacency[node].sort(key=self.sort_key)
         self._nodes = MappingProxyType(node_map)
         self._edges = MappingProxyType(edge_map)
         self._adjacency = MappingProxyType({n: tuple(e) for n, e in adjacency.items()})
+        self._sorted_edges = tuple(sorted(edge_map, key=self.sort_key))
 
     @property
     def nodes(self) -> Mapping[str, str]:
@@ -111,8 +114,12 @@ class Topology:
         return sum(2 if self._edges[e].node_a == self._edges[e].node_b else 1
                    for e in self._adjacency[node])
 
+    def sort_key(self, name: str) -> tuple:
+        """``natural_key(name)`` of a node or edge name of this topology."""
+        return self._keys[name]
+
     def sorted_edge_ids(self) -> list[str]:
-        return sorted(self._edges, key=natural_key)
+        return list(self._sorted_edges)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
     components = _connected_components(topology)
     if len(components) > 1:
         for comp in components[1:]:
-            sample = sorted(comp, key=natural_key)[0]
+            sample = min(comp, key=topology.sort_key)
             violations.append(
                 TopologyViolation("connectivity", sample, "node is not connected to the rest")
             )
@@ -392,7 +399,7 @@ def _ranked_monitors(
                         discovered.add(other)
                         chain = monitor_chain(topology, state, other)
                         rank = depth + 1 + len(chain)
-                        heapq.heappush(heap, (rank, natural_key(other), len(discovered),
+                        heapq.heappush(heap, (rank, topology.sort_key(other), len(discovered),
                                               other, node, edge_id, chain))
                     continue
                 if other in parent:
@@ -431,7 +438,7 @@ def select_mergecast_branches(
         candidates.append((outer, center))
     if not candidates:
         raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
-    candidates.sort(key=lambda pair: natural_key(pair[0]))
+    candidates.sort(key=lambda pair: topology.sort_key(pair[0]))
 
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:

@@ -63,9 +63,10 @@ class PauliVector1Q:
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.shape != (4,):
             raise NonPhysicalStateError(f"expected 4 coefficients, got shape {arr.shape}")
-        if abs(arr[0] - 1.0) > ATOL:
+        x_i, x, y, z = arr.tolist()
+        if abs(x_i - 1.0) > ATOL:
             raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {arr[0]!r}")
-        r2 = float(arr[1] ** 2 + arr[2] ** 2 + arr[3] ** 2)
+        r2 = x**2 + y**2 + z**2
         if r2 > 1.0 + ATOL:
             raise NonPhysicalStateError(f"Bloch vector norm^2 = {r2} exceeds 1")
         arr.flags.writeable = False
@@ -272,6 +273,18 @@ def _swapped_table(table: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], .
 CNOT_TABLE_CONTROL_SECOND = _swapped_table(CNOT_TABLE_CONTROL_FIRST)
 
 
+def _gather(table: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(source index, sign) per image index, so that out = sign * coeffs[source]."""
+    source, sign = np.zeros(16, dtype=int), np.zeros(16)
+    for src, (dst, s) in enumerate(table):
+        source[dst], sign[dst] = src, s
+    return source, sign
+
+
+_CNOT_GATHER_FIRST = _gather(CNOT_TABLE_CONTROL_FIRST)
+_CNOT_GATHER_SECOND = _gather(CNOT_TABLE_CONTROL_SECOND)
+
+
 def ptm_of_channel(channel: PauliChannel) -> np.ndarray:
     """The 4x4 PTM diag(1, q_X, q_Y, q_Z) of a Pauli channel."""
     return np.diag([1.0, channel.q_x, channel.q_y, channel.q_z])
@@ -302,24 +315,18 @@ def apply_ptm(ptm: np.ndarray, state: PauliVector1Q) -> PauliVector1Q:
 
 
 def apply_channel(channel: PauliChannel, state: PauliVector1Q) -> PauliVector1Q:
-    c = state.coeffs
-    return PauliVector1Q(
-        np.array([c[0], channel.q_x * c[1], channel.q_y * c[2], channel.q_z * c[3]])
-    )
+    return PauliVector1Q(state.coeffs * (1.0, channel.q_x, channel.q_y, channel.q_z))
 
 
 def tensor(a: PauliVector1Q, b: PauliVector1Q) -> PauliVector2Q:
     """Product state: coeff(P (x) Q) = a(P) * b(Q)."""
-    return PauliVector2Q(np.kron(a.coeffs, b.coeffs))
+    return PauliVector2Q((a.coeffs[:, None] * b.coeffs).ravel())
 
 
 def apply_cnot(state: PauliVector2Q, control: QubitSlot = "first") -> PauliVector2Q:
     """Conjugation action of CNOT on a two-qubit Pauli vector."""
-    table = CNOT_TABLE_CONTROL_FIRST if control == "first" else CNOT_TABLE_CONTROL_SECOND
-    out = np.zeros(16)
-    for src, (dst, sign) in enumerate(table):
-        out[dst] = sign * state.coeffs[src]
-    return PauliVector2Q(out)
+    source, sign = _CNOT_GATHER_FIRST if control == "first" else _CNOT_GATHER_SECOND
+    return PauliVector2Q(sign * state.coeffs[source])
 
 
 def apply_channel_2q(
@@ -406,9 +413,12 @@ def bypass_dressing(channel: PauliChannel, tol: float = ATOL) -> Dressing:
 
 
 def compose_channels(path: Iterable[PauliChannel]) -> PauliChannel:
-    """Composite of a path of Pauli channels: componentwise product of q vectors."""
-    qs = [ch.q for ch in path]
-    if not qs:
+    """Composite of a path of Pauli channels: componentwise product of q vectors,
+    multiplied in path order."""
+    channels = list(path)
+    if not channels:
         raise ValueError("path must contain at least one channel")
-    prod = np.prod(np.asarray(qs, dtype=float), axis=0)
-    return PauliChannel(float(prod[0]), float(prod[1]), float(prod[2]))
+    q_x = q_y = q_z = 1.0
+    for ch in channels:
+        q_x, q_y, q_z = q_x * ch.q_x, q_y * ch.q_y, q_z * ch.q_z
+    return PauliChannel(float(q_x), float(q_y), float(q_z))

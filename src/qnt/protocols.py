@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import network
-from .network import EtchingState, Topology, natural_key
+from .network import EtchingState, Topology
 from .pauli import (
     Dressing,
     PauliChannel,
@@ -368,7 +368,7 @@ def run_progressive_etching(
     round_num = 0
 
     while True:
-        frontier = sorted(network.peripheral_edges(topology, state), key=natural_key)
+        frontier = sorted(network.peripheral_edges(topology, state), key=topology.sort_key)
         if not frontier:
             break
         round_num += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .network import Edge, Topology, natural_key
+from .network import Edge, Topology
 from .pauli import ChannelValidationError, PauliChannel
 
 
@@ -75,7 +75,7 @@ def parse_topology(text: str) -> Topology:
 def format_topology(topology: Topology) -> str:
     """Render a topology back into the text schema (sorted, diff-friendly)."""
     lines = []
-    for node in sorted(topology.nodes, key=natural_key):
+    for node in sorted(topology.nodes, key=topology.sort_key):
         lines.append(f"node {node} {topology.nodes[node]}")
     for edge_id in topology.sorted_edge_ids():
         edge = topology.edges[edge_id]
@@ -90,7 +90,7 @@ def topology_to_json(topology: Topology) -> str:
     payload = {
         "nodes": [
             {"id": node, "kind": topology.nodes[node]}
-            for node in sorted(topology.nodes, key=natural_key)
+            for node in sorted(topology.nodes, key=topology.sort_key)
         ],
         "edges": [
             {

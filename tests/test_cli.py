@@ -87,6 +87,17 @@ class TestArgParsing:
         args = build_parser().parse_args(["loss", "--q", "0,0.25,0.35"])
         assert config_from_args(args).q_params == (0.0, 0.25, 0.35)
 
+    def test_negative_q_list_as_separate_argument(self, capsys):
+        outputs = []
+        for q_args in (["--q", "-0.2,0.25,0.35"], ["--q=-0.2,0.25,0.35"]):
+            argv = ["star", *q_args, "--trials", "2", "--m-samples", "10000",
+                    "--n-samples", "10000", "--seed", "3"]
+            assert main(argv) == 0
+            outputs.append(normalize_runtime(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        config = json.loads(outputs[0].splitlines()[0].removeprefix("# config "))
+        assert config["q_params"] == [-0.2, 0.25, 0.35]
+
     @pytest.mark.parametrize(
         "argv, trials",
         [
@@ -133,6 +144,9 @@ class TestArgParsing:
             ["loss", "--q", "0.5,0,0.35"],
             ["loss", "--q", "0.5,0.25,0"],
             ["loss", "--q", "1.5,0.25,0.35"],
+            ["star", "--q", "-0.5,0.25,0.35"],
+            ["loss", "--t-cutoff", "-1,5"],
+            ["star", "--q", "--trials", "2"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):

@@ -431,6 +431,51 @@ def colliding_names() -> Topology:
     return Topology(nodes, edges)
 
 
+def colliding_edge_names(first: str, second: str) -> Topology:
+    """Edge names equal under natural_key (E1/E01) at one node, inserted in the given order."""
+    nodes = {"H": "internal", "M1": "monitor", "M2": "monitor", "M3": "monitor"}
+    edges = [Edge(first, "H", "M1", UNIFORM), Edge(second, "H", "M2", UNIFORM),
+             Edge("E0", "H", "M3", UNIFORM)]
+    return Topology(nodes, edges)
+
+
+KEYED_TOPOLOGIES = {
+    "fig1": lambda: bundled_topology("fig1"),
+    "star3": star3,
+    "colliding-nodes": colliding_names,
+    "colliding-edges": lambda: colliding_edge_names("E1", "E01"),
+    "colliding-edges-reversed": lambda: colliding_edge_names("E01", "E1"),
+    **{f"tree-{seed}": (lambda seed=seed: random_tree(seed, 20 + 7 * seed)) for seed in range(6)},
+    "mesh": lambda: random_mesh(4, 10, 3),
+}
+
+
+class TestStoredKeys:
+    """Keys computed once per topology order names exactly as natural_key does."""
+
+    @pytest.mark.parametrize("build", KEYED_TOPOLOGIES.values(), ids=KEYED_TOPOLOGIES.keys())
+    def test_keys_and_orders_match_natural_key(self, build):
+        topology = build()
+        for name in (*topology.nodes, *topology.edges):
+            assert topology.sort_key(name) == natural_key(name)
+        assert topology.sorted_edge_ids() == sorted(topology.edges, key=natural_key)
+        for node in topology.nodes:
+            incident = [e for e, edge in topology.edges.items() if node in edge.endpoints]
+            assert list(topology.incident_edges(node)) == sorted(incident, key=natural_key)
+
+    def test_equal_keys_keep_insertion_order(self):
+        assert colliding_edge_names("E1", "E01").sorted_edge_ids() == ["E0", "E1", "E01"]
+        assert colliding_edge_names("E01", "E1").incident_edges("H") == ("E0", "E01", "E1")
+
+    def test_sorted_edge_ids_returns_a_copy(self):
+        topology = bundled_topology("fig1")
+        ids = topology.sorted_edge_ids()
+        expected = list(ids)
+        ids.reverse()
+        ids.append("extra")
+        assert topology.sorted_edge_ids() == expected
+
+
 def _etch_against_reference(monkeypatch, topology, bases=("Z",)) -> list:
     """Etch ``topology``, checking every branch selection of the sweep
     against :func:`reference_select`; returns the (actual, reference)

@@ -330,3 +330,123 @@ class TestCompose:
                 rho = oracle.evolve_kraus(rho, oracle.kraus_of_channel(ch))
             fast = apply_channel(compose_channels(chans), state)
             assert_allclose(fast.coeffs, oracle.density_to_pauli(rho).coeffs, atol=ATOL)
+
+
+# The forms the primitives had before they were rewritten to spend fewer numpy
+# scalar round-trips.  Each rewrite must give the same bits, not close ones.
+
+
+def reference_tensor(a: PauliVector1Q, b: PauliVector1Q) -> np.ndarray:
+    return np.kron(a.coeffs, b.coeffs)
+
+
+def reference_cnot(state: PauliVector2Q, control: str) -> np.ndarray:
+    table = CNOT_TABLE_CONTROL_FIRST if control == "first" else CNOT_TABLE_CONTROL_SECOND
+    out = np.zeros(16)
+    for src, (dst, sign) in enumerate(table):
+        out[dst] = sign * state.coeffs[src]
+    return out
+
+
+def reference_apply_channel(channel: PauliChannel, state: PauliVector1Q) -> np.ndarray:
+    c = state.coeffs
+    return np.array([c[0], channel.q_x * c[1], channel.q_y * c[2], channel.q_z * c[3]])
+
+
+def reference_compose(path) -> tuple[float, float, float]:
+    prod = np.prod(np.asarray([ch.q for ch in path], dtype=float), axis=0)
+    return (float(prod[0]), float(prod[1]), float(prod[2]))
+
+
+def reference_state_error(coeffs) -> str | None:
+    """The message the one-qubit state check raised, on numpy scalars."""
+    arr = np.asarray(coeffs, dtype=float)
+    if abs(arr[0] - 1.0) > ATOL:
+        return f"x_I must be 1 for a normalized state, got {arr[0]!r}"
+    r2 = float(arr[1] ** 2 + arr[2] ** 2 + arr[3] ** 2)
+    return f"Bloch vector norm^2 = {r2} exceeds 1" if r2 > 1.0 + ATOL else None
+
+
+def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Exact equality that also tells 0.0 from -0.0."""
+    return actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+class TestPrimitivesMatchReferenceForms:
+    N_CASES = 300
+
+    def test_tensor(self, rng):
+        for _ in range(self.N_CASES):
+            a, b = random_state(rng), random_state(rng)
+            assert same_bits(tensor(a, b).coeffs, reference_tensor(a, b))
+
+    def test_cnot(self, rng):
+        for _ in range(self.N_CASES):
+            product = tensor(random_state(rng), random_state(rng))
+            arbitrary = PauliVector2Q(np.r_[1.0, rng.uniform(-1, 1, 15)])
+            for state in (product, arbitrary, apply_cnot(product)):
+                for control in ("first", "second"):
+                    assert same_bits(apply_cnot(state, control).coeffs,
+                                     reference_cnot(state, control))
+
+    def test_apply_channel(self, rng):
+        for _ in range(self.N_CASES):
+            channel, state = random_channel(rng), random_state(rng)
+            assert same_bits(apply_channel(channel, state).coeffs,
+                             reference_apply_channel(channel, state))
+        for channel in (PauliChannel.bit_flip(0.5), PauliChannel(1, 1, 1)):
+            state = PauliVector1Q.from_bloch(-0.0, 0.6, -0.8)
+            assert same_bits(apply_channel(channel, state).coeffs,
+                             reference_apply_channel(channel, state))
+
+    def test_compose(self, rng):
+        for i in range(self.N_CASES):
+            path = [random_channel(rng) for _ in range(1 + i % 12)]
+            expected = reference_compose(path)
+            for given in (path, tuple(path), (ch for ch in path)):
+                composed = compose_channels(given)
+                assert composed.q == expected
+                assert all(type(q) is float for q in composed.q)
+
+    def test_state_check(self, rng):
+        # near the Bloch sphere, where the two checks could part ways
+        rejected = 0
+        for _ in range(self.N_CASES):
+            direction = rng.normal(size=3)
+            radius = 1.0 + rng.uniform(-3, 3) * ATOL
+            coeffs = np.r_[1.0 + rng.uniform(-2, 2) * ATOL, radius * direction / np.linalg.norm(direction)]
+            expected = reference_state_error(coeffs)
+            if expected is None:
+                PauliVector1Q(coeffs)
+            else:
+                with pytest.raises(NonPhysicalStateError) as err:
+                    PauliVector1Q(coeffs)
+                assert str(err.value) == expected
+                rejected += 1
+        assert 0 < rejected < self.N_CASES
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PauliVector1Q(np.array([0.9, 0, 0, 0])), NonPhysicalStateError,
+             "x_I must be 1 for a normalized state, got np.float64(0.9)"),
+            (lambda: PauliVector1Q.from_bloch(0.9, 0.9, 0.9), NonPhysicalStateError,
+             "Bloch vector norm^2 = 2.43 exceeds 1"),
+            (lambda: PauliVector1Q(np.zeros(3)), NonPhysicalStateError,
+             "expected 4 coefficients, got shape (3,)"),
+            (lambda: PauliVector2Q(np.r_[0.5, np.zeros(15)]), NonPhysicalStateError,
+             "coefficient of I(x)I must be 1, got np.float64(0.5)"),
+            (lambda: PauliChannel(1.0, 1.0, -1.0), ChannelValidationError,
+             "complete positivity violated: p_z = -0.5 < 0 for q = (1.0, 1.0, -1.0)"),
+            (lambda: PauliChannel(1.5, 0.0, 0.0), ChannelValidationError,
+             "q_x = 1.5 outside [-1, 1]"),
+            (lambda: compose_channels([]), ValueError, "path must contain at least one channel"),
+            (lambda: compose_channels(iter([])), ValueError,
+             "path must contain at least one channel"),
+        ],
+        ids=["trace", "bloch", "shape", "trace-2q", "cp", "range", "empty-path", "empty-iterator"],
+    )
+    def test_error_messages(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
