@@ -30,6 +30,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 ATOL = 1e-12
+_Q_MIN, _Q_MAX = -1.0 - ATOL, 1.0 + ATOL  # the range a channel parameter may take
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -149,9 +150,16 @@ class PauliChannel:
     q_z: float
 
     def __post_init__(self):
+        # One chained comparison accepts a valid channel; _reject names what failed.
+        q_x, q_y, q_z = self.q_x, self.q_y, self.q_z
+        if not (_Q_MIN <= q_x <= _Q_MAX and _Q_MIN <= q_y <= _Q_MAX and _Q_MIN <= q_z <= _Q_MAX
+                and min(self.probabilities()) >= -ATOL):
+            self._reject()
+
+    def _reject(self):
         q = (self.q_x, self.q_y, self.q_z)
         for name, value in zip(("q_x", "q_y", "q_z"), q):
-            if not -1.0 - ATOL <= value <= 1.0 + ATOL:
+            if not _Q_MIN <= value <= _Q_MAX:
                 raise ChannelValidationError(f"{name} = {value} outside [-1, 1]")
         for p_name, p in zip(("p_i", "p_x", "p_y", "p_z"), self.probabilities()):
             if p < -ATOL:

@@ -59,7 +59,11 @@ class ProtocolError(ValueError):
 
 
 class EstimationError(RuntimeError):
-    """An estimator denominator is too close to zero to divide."""
+    """An estimator denominator is too close to zero to divide; ``column`` indexes its last axis."""
+
+    def __init__(self, message: str, column: int = 0):
+        super().__init__(message)
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -258,19 +262,20 @@ ProbabilityLike = Union[ProtocolOutcome, float, np.ndarray]
 
 
 def sample_ratio(
-    estimator: Callable, p_num: float, p_uni: float, samples: tuple[int, int], seed: int,
-    label: str, trials: Optional[int], numerator: str = "merge",
+    estimator: Callable, p_num: float | Sequence[float], p_uni: float | Sequence[float],
+    samples: tuple[int, int], seed: int, label: str, trials: Optional[int], numerator: str = "merge",
 ) -> Union[float, np.ndarray]:
     """``estimator(p_num_hat, p_uni_hat)`` over ``samples = (M, N)`` runs of two protocols.
 
-    Each protocol's trials are one ``binomial(..., size=trials)`` draw from the substream
-    ``{label}|{numerator}`` or ``{label}|uni`` at index 0; ``trials=None`` gives a float.
+    Each protocol is one ``binomial`` draw of shape ``(trials, *shape(p))`` from the substream
+    ``{label}|{numerator}`` or ``{label}|uni`` at index 0; ``trials=None`` draws once per p.
     """
     m_size, n_size = samples
     if min(samples) < 1:
         raise ProtocolError(f"sample sizes must be at least 1, got {samples}")
-    num = substream(seed, f"{label}|{numerator}", 0).binomial(m_size, p_num, size=trials)
-    uni = substream(seed, f"{label}|uni", 0).binomial(n_size, p_uni, size=trials)
+    size = None if trials is None else (trials, *np.shape(p_num))
+    num = substream(seed, f"{label}|{numerator}", 0).binomial(m_size, p_num, size=size)
+    uni = substream(seed, f"{label}|uni", 0).binomial(n_size, p_uni, size=size)
     return estimator(num / m_size, uni / n_size)
 
 
@@ -281,10 +286,12 @@ def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
 
 
 def _check_divisor(divisor: Union[float, np.ndarray], what: str) -> None:
-    """Raise ``EstimationError`` naming the first entry of ``divisor`` too close to zero."""
+    """Raise ``EstimationError`` at the first entry of ``divisor`` too close to zero, column by column."""
     degenerate = np.abs(divisor) < DEGENERATE_DENOMINATOR_TOL
     if degenerate.any():  # the method, not np.any: a third of the cost on tiny arrays
-        raise EstimationError(f"{what} {np.ravel(divisor)[np.argmax(degenerate)]} is degenerate")
+        by_column = np.atleast_1d(divisor).T
+        first = np.unravel_index(np.argmax(np.atleast_1d(degenerate).T), by_column.shape)
+        raise EstimationError(f"{what} {by_column[first]} is degenerate", int(first[0]))
 
 
 def _ratio(
@@ -353,11 +360,12 @@ def run_progressive_etching(
     dividing by the *estimated* chain product (from earlier rounds)
     propagates earlier errors exactly as a real deployment would.
 
-    Sampling uses independent substreams keyed by (seed, edge, basis,
-    protocol), so a run is fully reproducible and edges may be processed in
-    parallel without sharing generator state.  ``trials`` follows numpy's
-    ``size``: ``None`` gives float estimates, an int arrays of that many
-    trials, each divided by its own chain correction, from one sweep.
+    Per round and basis, one :func:`sample_ratio` call draws every frontier target
+    (column j is target j) from ``etch|{round}|{basis}|merge``/``|uni``; a degenerate
+    denominator, then chain correction, raises naming its first edge in frontier order.
+    ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k
+    is the k-th of successive scalar sweeps on the same streams, each divided by its own
+    chain correction.
     """
     problems = network.validate(topology, require_simplified=True)
     if problems:
@@ -372,8 +380,8 @@ def run_progressive_etching(
         if not frontier:
             break
         round_num += 1
-        round_results: dict[str, dict] = {}
-        promotions: list[tuple[str, str]] = []
+        probs = {basis: ([], []) for basis in bases}  # basis -> (p_merge, p_uni) per target
+        chains, promotions = [], []
 
         for target in frontier:
             selection = network.select_mergecast_branches(topology, state, target)
@@ -382,23 +390,28 @@ def run_progressive_etching(
             target_true = compose_channels([*chain_true, edges[target].channel])
             a2_true = [edges[e].channel for e in selection.full_a2]
             b_true = [edges[e].channel for e in selection.full_b]
-
-            per_basis = {}
-            for basis in bases:
-                ratio = sample_ratio(
-                    estimate_q_mergecast,
-                    mergecast_prob(target_true, a2_true, b_true, spam, basis),
-                    unicast_prob([*a2_true, *b_true], spam, basis),
-                    samples, seed, f"etch|{target}|{basis}", trials,
-                )
-                correction = spam.s
-                for chain_edge in selection.target_chain:
-                    correction *= state.identified[chain_edge][basis]
-                _check_divisor(correction, f"edge {target!r}, basis {basis}: chain correction")
-                per_basis[basis] = ratio / correction
-            round_results[target] = per_basis
+            for basis, (p_merge, p_uni) in probs.items():
+                p_merge.append(mergecast_prob(target_true, a2_true, b_true, spam, basis))
+                p_uni.append(unicast_prob([*a2_true, *b_true], spam, basis))
+            chains.append([state.identified[e] for e in selection.target_chain])
             if selection.merge_node not in state.effective_monitors:
                 promotions.append((selection.merge_node, target))
+
+        round_results = {target: {} for target in frontier}
+        for basis, (p_merge, p_uni) in probs.items():
+            try:
+                ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
+                                     f"etch|{round_num}|{basis}", trials)
+                correction = np.empty(np.shape(ratio))  # float64, also for an integer spam.s
+                for column, chain in enumerate(chains):
+                    correction[..., column] = math.prod((known[basis] for known in chain), start=spam.s)
+                _check_divisor(correction, "chain correction")
+            except EstimationError as err:
+                where = f"edge {frontier[err.column]!r}, basis {basis}"
+                raise EstimationError(f"{where}: {err}", err.column) from None
+            estimates = ratio / correction
+            for target, estimate in zip(frontier, estimates.tolist() if trials is None else estimates.T):
+                round_results[target][basis] = estimate
 
         for target, per_basis in round_results.items():
             state.identified[target] = per_basis

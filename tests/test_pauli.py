@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -367,6 +370,35 @@ def reference_state_error(coeffs) -> str | None:
     return f"Bloch vector norm^2 = {r2} exceeds 1" if r2 > 1.0 + ATOL else None
 
 
+def reference_probabilities(q_x, q_y, q_z) -> tuple[float, float, float, float]:
+    return (
+        (1.0 + q_x + q_y + q_z) / 4.0,
+        (1.0 + q_x - q_y - q_z) / 4.0,
+        (1.0 - q_x + q_y - q_z) / 4.0,
+        (1.0 - q_x - q_y + q_z) / 4.0,
+    )
+
+
+def reference_channel_error(q_x, q_y, q_z) -> str | None:
+    """The message the channel check raised when it looped over ``zip`` and ``probabilities()``."""
+    q = (q_x, q_y, q_z)
+    for name, value in zip(("q_x", "q_y", "q_z"), q):
+        if not -1.0 - ATOL <= value <= 1.0 + ATOL:
+            return f"{name} = {value} outside [-1, 1]"
+    for p_name, p in zip(("p_i", "p_x", "p_y", "p_z"), reference_probabilities(*q)):
+        if p < -ATOL:
+            return f"complete positivity violated: {p_name} = {p} < 0 for q = {q}"
+    return None
+
+
+def channel_error(q_x, q_y, q_z) -> str | None:
+    try:
+        PauliChannel(q_x, q_y, q_z)
+    except ChannelValidationError as err:
+        return str(err)
+    return None
+
+
 def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
     """Exact equality that also tells 0.0 from -0.0."""
     return actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
@@ -450,3 +482,43 @@ class TestPrimitivesMatchReferenceForms:
         with pytest.raises(error) as err:
             build()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ((1.5, 0.0, 0.0), "q_x = 1.5 outside [-1, 1]"),
+            ((0.0, -1.2, 0.0), "q_y = -1.2 outside [-1, 1]"),
+            ((0.5, 0.5, 1.0 + 2 * ATOL), "q_z = 1.000000000002 outside [-1, 1]"),
+            ((0.0, float("nan"), 2.0), "q_y = nan outside [-1, 1]"),
+            ((-1.0, -1.0, -1.0), "complete positivity violated: p_i = -0.5 < 0 for q = (-1.0, -1.0, -1.0)"),
+            ((-1.0, 1.0, 1.0), "complete positivity violated: p_x = -0.5 < 0 for q = (-1.0, 1.0, 1.0)"),
+            ((1.0, -1.0, 1.0), "complete positivity violated: p_y = -0.5 < 0 for q = (1.0, -1.0, 1.0)"),
+            ((1.0, 1.0, -1.0), "complete positivity violated: p_z = -0.5 < 0 for q = (1.0, 1.0, -1.0)"),
+        ],
+        ids=["q_x", "q_y", "q_z", "nan", "p_i", "p_x", "p_y", "p_z"],
+    )
+    def test_channel_check_messages(self, q, message):
+        assert reference_channel_error(*q) == message
+        with pytest.raises(ChannelValidationError) as err:
+            PauliChannel(*q)
+        assert str(err.value) == message
+
+    def test_channel_check_near_the_boundary(self):
+        # Every triple of values within a few ATOL of -1 and 1, where the range and
+        # complete-positivity checks flip, plus plain values, ints and a numpy float.
+        offsets = [k * ATOL / 2 for k in range(-6, 7)]
+        values = [c + d for c in (-1.0, 1.0) for d in offsets] + [0.0, 0.5, 1, -1, np.float64(1.0 + ATOL)]
+        outcomes = Counter()
+        for q in itertools.product(values, repeat=3):
+            expected = reference_channel_error(*q)
+            assert channel_error(*q) == expected, q
+            if expected is None:
+                outcomes["accepted"] += 1
+                assert PauliChannel(*q).probabilities() == reference_probabilities(*q)
+            elif expected.startswith("complete") and -3 * ATOL < min(reference_probabilities(*q)):
+                outcomes["just past the positivity tolerance"] += 1
+            else:
+                outcomes[expected.split(" ")[0]] += 1
+        assert set(outcomes) == {
+            "accepted", "just past the positivity tolerance", "q_x", "q_y", "q_z", "complete"
+        }

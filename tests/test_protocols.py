@@ -309,6 +309,16 @@ class TestEstimators:
         with pytest.raises(EstimationError):
             estimate_q_mergecast(0.7, 0.5)
 
+    def test_degenerate_entry_is_found_column_by_column(self):
+        # Row-major order would reach (0, 2) first; the last axis is scanned outermost.
+        uni = np.array([[0.6, 0.6, 0.5], [0.6, 0.5 + 1e-10, 0.6]])
+        with pytest.raises(EstimationError, match=r"^mergecast estimator: denominator 2\*p-1 = 2") as info:
+            estimate_q_mergecast(np.full((2, 3), 0.7), uni)
+        assert info.value.column == 1
+        with pytest.raises(EstimationError, match=r"= 0\.0 is degenerate$") as info:
+            estimate_q_mergecast(np.full(4, 0.7), np.array([0.6, 0.6, 0.5, 0.5]))
+        assert info.value.column == 2
+
     def test_s_and_m_exact_identities(self):
         for s in (0.3, 0.7, 0.9, 1.0):
             for m in (0.3, 0.7, 0.9, 1.0):
@@ -490,8 +500,8 @@ def reference_etch(topology, spam, samples, bases, rng_for):
             for basis in bases:
                 p_merge = mergecast_prob(target_true, a2_true, b_true, spam, basis)
                 p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
-                merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{target}|{basis}|merge"))
-                uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{target}|{basis}|uni"))
+                merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{round_num}|{basis}|merge"))
+                uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{round_num}|{basis}|uni"))
                 ratio = estimate_q_mergecast(merge_out, uni_out)
                 correction = spam.s
                 for chain_edge in selection.target_chain:
@@ -512,13 +522,9 @@ def reference_etch(topology, spam, samples, bases, rng_for):
                 state.promoted_via[node] = via_edge
 
 
-def fresh_streams(seed):
-    """A new generator per draw, as one scalar sweep makes them."""
-    return lambda label: substream(seed, label, 0)
-
-
 def shared_streams(seed):
-    """One generator per label, drawn from again by each successive sweep."""
+    """One generator per label, drawn from by each target of a round and again by
+    each successive sweep."""
     streams = {}
 
     def rng_for(label):
@@ -561,7 +567,7 @@ class TestEtchingMatchesReference:
     def test_one_trial_equals_scalar_sweep(self, make, bases):
         topology = make()
         run = run_progressive_etching(topology, ETCH_SPAM, ETCH_SAMPLES, seed=31, bases=bases)
-        expected, steps = reference_etch(topology, ETCH_SPAM, ETCH_SAMPLES, bases, fresh_streams(31))
+        expected, steps = reference_etch(topology, ETCH_SPAM, ETCH_SAMPLES, bases, shared_streams(31))
         assert run.steps == steps
         assert set(run.estimates) == set(expected) == set(topology.edges)
         for edge_id, per_basis in expected.items():
@@ -624,8 +630,8 @@ class TestBatchedEtchingGuards:
 
         def forced(*args, **kwargs):
             estimates = real(*args, **kwargs)
-            if args[5].startswith("etch|E"):  # the first-round edges
-                estimates[2:] = (3e-10, 0.0)
+            if args[5] == "etch|1|Z":  # the first-round edges, one column each
+                estimates[2:] = ((3e-10,), (0.0,))
             return estimates
 
         monkeypatch.setattr(protocols, "sample_ratio", forced)
@@ -640,7 +646,87 @@ class TestBatchedEtchingGuards:
         )
         assert run.steps["C"] == 2 and run.estimates["C"].q_z.shape == (4,)
 
+    @pytest.mark.parametrize("trials", [None, 4])
+    def test_degenerate_denominator_names_the_first_edge_in_frontier_order(self, monkeypatch, trials):
+        # Round 1 of fig1 is P12..P19 in frontier order.  Columns 5 (P17) and 3 (P15)
+        # are forced degenerate, column 5 in an earlier trial, so a row-major scan of
+        # the batch would name P17.
+        forced_cells = ([5, 3],) if trials is None else ([0, 2], [5, 3])
+        real = protocols.substream
+
+        class HalfCounts:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def binomial(self, n, p, size=None):
+                counts = self.rng.binomial(n, p, size=size)
+                counts[forced_cells] = n // 2
+                return counts
+
+        def forced(seed, label, index):
+            rng = real(seed, label, index)
+            return HalfCounts(rng) if label == "etch|1|Z|uni" else rng
+
+        monkeypatch.setattr(protocols, "substream", forced)
+        expected = r"^edge 'P15', basis Z: mergecast estimator: denominator 2\*p-1 = 0\.0 is degenerate$"
+        with pytest.raises(EstimationError, match=expected) as info:
+            run_progressive_etching(
+                bundled_topology("fig1"), SpamModel(1, 1), (10_000, 10_000), seed=4, trials=trials
+            )
+        assert info.value.column == 3
+
     @pytest.mark.parametrize("trials", [None, 3])
     def test_zero_samples_raise(self, trials):
         with pytest.raises(ProtocolError, match="sample sizes must be at least 1"):
             run_progressive_etching(bundled_topology("fig1"), SpamModel(1, 1), (0, 0), seed=1, trials=trials)
+
+
+class TestRoundKeyedStreams:
+    @pytest.mark.parametrize("n", [10, 1000, 10**6])
+    def test_array_binomial_equals_successive_scalar_draws(self, n):
+        # The stream layout relies on this: one (trials, k) draw per round and basis is
+        # trial after trial of k scalar draws, each target in frontier order.
+        p = np.array([0.001, 0.02, 0.3, 0.5, 0.54375, 0.8, 0.999])
+        batch = substream(5, "layout", 0).binomial(n, p, size=(6, len(p)))
+        scalar = substream(5, "layout", 0)
+        assert batch.tolist() == [[int(scalar.binomial(n, pj)) for pj in p] for _ in range(6)]
+        once = substream(6, "layout", 0).binomial(n, p)
+        scalar = substream(6, "layout", 0)
+        assert once.tolist() == [int(scalar.binomial(n, pj)) for pj in p]
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize(
+        "make, bases",
+        [(lambda: bundled_topology("fig1"), ("Z", "X", "Y")), (lambda: flip_tree(1, 35), ("Z", "Y"))],
+        ids=["fig1", "tree1"],
+    )
+    def test_one_substream_per_round_basis_and_protocol(self, monkeypatch, make, bases, trials):
+        labels = []
+        real = protocols.substream
+
+        def counted(seed, label, index):
+            labels.append(label)
+            return real(seed, label, index)
+
+        monkeypatch.setattr(protocols, "substream", counted)
+        run = run_progressive_etching(make(), ETCH_SPAM, ETCH_SAMPLES, seed=9, bases=bases, trials=trials)
+        rounds = max(run.steps.values())
+        assert rounds > 1
+        assert len(labels) == 2 * rounds * len(bases)
+        assert sorted(labels) == sorted(
+            f"etch|{r}|{b}|{p}" for r in range(1, rounds + 1) for b in bases for p in ("merge", "uni")
+        )
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    def test_integer_spam_gives_float_estimates(self, trials):
+        topology = bundled_topology("fig1")
+        as_int = run_progressive_etching(topology, SpamModel(1, 1), ETCH_SAMPLES, seed=12, trials=trials)
+        as_float = run_progressive_etching(topology, SpamModel(1.0, 1.0), ETCH_SAMPLES, seed=12, trials=trials)
+        for edge_id, estimate in as_int.estimates.items():
+            for basis, value in field_values(estimate).items():
+                if trials is None:
+                    assert isinstance(value, float)
+                else:
+                    assert value.dtype == np.float64
+                np.testing.assert_array_equal(value, field_values(as_float.estimates[edge_id])[basis])
+                assert np.all(np.abs(np.asarray(value) - 0.8) < 0.1)
