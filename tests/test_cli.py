@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import pathlib
 import re
 
 import pytest
@@ -431,3 +433,40 @@ class TestRatioCell:
         cfg = small_cfg(experiment=experiment, m_samples=(2,), n_samples=(2,))
         with pytest.raises(EstimationError):
             run_experiment(cfg)
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
+# One small config per experiment: etch on fig1 at one M, loss over 300 s.
+GOLDEN_ARGV = {
+    "star": ["star", "--s", "0.9", "--m", "0.95", "--trials", "20",
+             "--m-samples", "1000,3000", "--n-samples", "2000"],
+    "sweep": ["sweep", "--spam-grid", "1:1;0.8:0.9", "--trials", "10",
+              "--m-samples", "2000", "--n-samples", "2000"],
+    "spam-s": ["spam-s", "--s", "0.9", "--m", "0.8", "--q", "0.5,0.25", "--trials", "20",
+               "--m-samples", "2000", "--n-samples", "2000,4000"],
+    "spam-m": ["spam-m", "--s", "0.8", "--m", "0.9", "--q", "0.5,0.25", "--trials", "20",
+               "--m-samples", "2000", "--n-samples", "2000,4000"],
+    "etch": ["etch", "--s", "0.95", "--m", "0.9", "--trials", "20", "--m-samples", "10000"],
+    "loss": ["loss", "--s", "0.95", "--trials", "3", "--horizon", "300",
+             "--t-send", "0.1,0.5", "--t-cutoff", "0.05,5"],
+}
+
+
+class TestGoldenCsv:
+    """Each experiment's CLI CSV, ``runtime_ms`` blanked, equals a committed file.
+
+    The files pin every number of every driver, so a refactor that must keep
+    the output proves it here.  A change that alters the random-stream layout
+    (or anything else that moves a CSV number on purpose) regenerates them with
+    ``QNT_REGEN_GOLDEN=1 python -m pytest tests/test_cli.py -k golden`` and
+    records that in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("name", list(GOLDEN_ARGV))
+    def test_csv_matches_golden_file(self, name, capsys):
+        assert main([*GOLDEN_ARGV[name], "--seed", "7"]) == 0
+        text = normalize_runtime(capsys.readouterr().out) + "\n"
+        path = GOLDEN_DIR / f"golden_{name}.csv"
+        if os.environ.get("QNT_REGEN_GOLDEN"):
+            path.write_text(text)
+        assert text == path.read_text()
