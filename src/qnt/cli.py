@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = {k: v for k, v in vars(args).items() if v is not None}
-    kwargs["experiment"] = args.experiment.replace("-", "_")
     if args.seed is None:
         kwargs["seed"] = _default_seed()
     return ExperimentConfig(**kwargs)

@@ -1,8 +1,10 @@
 """Experiment drivers: seeded Monte Carlo grids with CSV output.
 
-Each driver sweeps a sample-size (or timing) grid, repeats the relevant
-protocol estimate over ``trials`` independent substreams, and emits one CSV
-row per grid cell (per edge, for etching).  The fixed column prefix is
+Each driver sweeps a sample-size (or timing) grid, estimates ``trials``
+times per cell (a ratio cell draws them from one substream per protocol,
+etching from one per round, basis and protocol, ``loss`` from one seed per
+trial), and emits one CSV row per cell (per edge, for etching).  The fixed
+column prefix is
 
     experiment,M,N,s,m,truth,mse,mse_std,crb,runtime_ms,seed
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -51,7 +54,7 @@ DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
 # How many of ``q_params`` each experiment reads; etch takes its channels
 # from the topology.
-_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
+_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2, "etch": 0}
 # The loss experiment's fixed hardware: a 10 km fiber and the merge node's memory.
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
@@ -61,9 +64,11 @@ LOSS_MEMORY_T2_S = 1.0
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults.  Out-of-range values, including a zero SPAM parameter or q
-    divisor, loss timings that :mod:`qnt.lossy` rejects and an etch
-    topology that cannot be read or etched, raise ``ValueError``."""
+    defaults, and ``experiment`` is a ``DRIVERS`` key (``spam-s`` reads as
+    ``spam_s``).  An unknown experiment and out-of-range values, including a
+    zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
+    rejects and an etch topology that cannot be read or etched, raise
+    ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -82,6 +87,9 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
+        self.experiment = self.experiment.replace("-", "_")
+        if self.experiment not in DRIVERS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials is None:
             self.trials = 1000 if self.full_scale else 100
         if self.trials < 1:
@@ -93,7 +101,7 @@ class ExperimentConfig:
             self.n_samples = default
         if min(self.m_samples + self.n_samples) < 1:
             raise ValueError("sample sizes must be at least 1")
-        needed = _Q_PARAMS_READ.get(self.experiment.replace("-", "_"), 0)
+        needed = _Q_PARAMS_READ[self.experiment]
         if len(self.q_params) < needed:
             raise ValueError(
                 f"{self.experiment} needs {needed} q values, got {len(self.q_params)}"
@@ -190,9 +198,27 @@ def _trial_seed(cfg: ExperimentConfig, label: str, trial: int) -> int:
     return int(stats.substream(cfg.seed, label, trial).integers(0, 2**63))
 
 
-def _star_channels(cfg: ExperimentConfig) -> tuple[PauliChannel, PauliChannel, PauliChannel]:
-    q1, q2, q3 = cfg.q_params[:3]
-    return (PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2), PauliChannel(q3, q3, q3))
+def _channels(cfg: ExperimentConfig) -> tuple[PauliChannel, ...]:
+    """The depolarizing channels of the q values the experiment reads."""
+    return tuple(PauliChannel(q, q, q) for q in cfg.q_params[:_Q_PARAMS_READ[cfg.experiment]])
+
+
+def _row(
+    cfg: ExperimentConfig,
+    spam: SpamModel,
+    samples: tuple[float, float],
+    estimates,
+    truth: float,
+    runtime_ms: float,
+    crb: Optional[float] = None,
+    **context,
+) -> Row:
+    """A cell's row: the MSE of its trial ``estimates`` against ``truth``, with
+    ``samples`` as (M, N) and ``context`` for the columns after ``seed``."""
+    agg = stats.aggregate_mse(estimates, truth)
+    # the fixed column prefix, in CSV order
+    return Row(cfg.experiment, *samples, spam.s, spam.m, truth, agg.mse, agg.mse_std,
+               crb, runtime_ms, cfg.seed, **context)
 
 
 def _ratio_rows(
@@ -216,35 +242,20 @@ def _ratio_rows(
     ``estimator(p_num_hat, p_uni_hat) / divisor``.
     """
     rows = []
-    for m_size in cfg.m_samples:
-        for n_size in cfg.n_samples:
-            start = time.perf_counter()
-            estimates = protocols.sample_ratio(
-                estimator, p_num, p_uni, (m_size, n_size), cfg.seed,
-                f"{stream}|{m_size}|{n_size}", cfg.trials, numerator=numerator,
-            )
-            agg = stats.aggregate_mse(estimates / divisor, truth)
-            rows.append(
-                Row(
-                    experiment=cfg.experiment,
-                    m_value=m_size,
-                    n_value=n_size,
-                    s=spam.s,
-                    m=spam.m,
-                    truth=truth,
-                    mse=agg.mse,
-                    mse_std=agg.mse_std,
-                    crb=crb(m_size, n_size),
-                    runtime_ms=(time.perf_counter() - start) * 1e3,
-                    seed=cfg.seed,
-                    target=target,
-                )
-            )
+    for samples in itertools.product(cfg.m_samples, cfg.n_samples):
+        start = time.perf_counter()
+        estimates = protocols.sample_ratio(
+            estimator, p_num, p_uni, samples, cfg.seed,
+            f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator=numerator,
+        )
+        runtime = (time.perf_counter() - start) * 1e3
+        rows.append(_row(cfg, spam, samples, estimates / divisor, truth, runtime,
+                         crb=crb(*samples), target=target))
     return rows
 
 
 def run_star(cfg: ExperimentConfig, spam_grid: Optional[Sequence[SpamModel]] = None) -> list[Row]:
-    ch1, ch2, ch3 = _star_channels(cfg)
+    ch1, ch2, ch3 = _channels(cfg)
     rows = []
     for spam in spam_grid or [cfg.spam]:
         rows += _ratio_rows(
@@ -272,8 +283,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
 
 
 def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
-    q1, q2 = cfg.q_params[:2]
-    path = [PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2)]
+    path = _channels(cfg)
     spam = cfg.spam
     return _ratio_rows(
         cfg,
@@ -286,13 +296,12 @@ def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
         divisor=1.0,
         truth=spam.s,
         target="s",
-        crb=functools.partial(stats.crb_spam_s, q1=q1, q2=q2, s=spam.s, m=spam.m),
+        crb=functools.partial(stats.crb_spam_s, q1=path[0].q_z, q2=path[1].q_z, s=spam.s, m=spam.m),
     )
 
 
 def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
-    q1, q2 = cfg.q_params[:2]
-    path = [PauliChannel(q1, q1, q1), PauliChannel(q2, q2, q2)]
+    path = _channels(cfg)
     spam = cfg.spam
     return _ratio_rows(
         cfg,
@@ -305,7 +314,7 @@ def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
         divisor=1.0,
         truth=spam.m,
         target="m",
-        crb=functools.partial(stats.crb_spam_m, q1=q1, q2=q2, s=spam.s, m=spam.m),
+        crb=functools.partial(stats.crb_spam_m, q1=path[0].q_z, q2=path[1].q_z, s=spam.s, m=spam.m),
     )
 
 
@@ -313,7 +322,8 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
     """Progressive etching MSE per edge, all trials of an M in one sweep.
 
     N is tied to M: the near-diagonal is where the ratio estimator works
-    best, so sweeping one size covers the interesting regime."""
+    best, so sweeping one size covers the interesting regime.  The edges of an
+    M share that sweep's runtime."""
     topology = cfg.topology
     spam = cfg.spam
     rows = []
@@ -324,69 +334,32 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
             bases=("Z",), trials=cfg.trials,
         )
         runtime = (time.perf_counter() - start) * 1e3
-        for edge_id in topology.sorted_edge_ids():
-            truth = topology.edges[edge_id].channel.q_z
-            agg = stats.aggregate_mse(run.estimates[edge_id].q_z, truth)
-            rows.append(
-                Row(
-                    experiment=cfg.experiment,
-                    m_value=m_size,
-                    n_value=m_size,
-                    s=spam.s,
-                    m=spam.m,
-                    truth=truth,
-                    mse=agg.mse,
-                    mse_std=agg.mse_std,
-                    crb=None,
-                    runtime_ms=runtime,
-                    seed=cfg.seed,
-                    target=edge_id,
-                    step=run.steps[edge_id],
-                )
-            )
+        rows += [
+            _row(cfg, spam, (m_size, m_size), run.estimates[edge_id].q_z,
+                 topology.edges[edge_id].channel.q_z, runtime,
+                 target=edge_id, step=run.steps[edge_id])
+            for edge_id in topology.sorted_edge_ids()
+        ]
     return rows
 
 
 def run_loss(cfg: ExperimentConfig) -> list[Row]:
-    channels = _star_channels(cfg)
+    channels = _channels(cfg)
     rows = []
-    for t_send in cfg.t_send_s:
+    for t_send, t_cutoff in itertools.product(cfg.t_send_s, cfg.t_cutoff_s):
         schedule = lossy.Schedule(send_interval_s=t_send, horizon_s=cfg.horizon_s)
-        for t_cutoff in cfg.t_cutoff_s:
-            memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, cutoff_s=t_cutoff)
-            start = time.perf_counter()
-            estimates, merged, received = [], [], []
-            for trial in range(cfg.trials):
-                result = lossy.run_loss_experiment(
-                    channels,
-                    LOSS_FIBER,
-                    memory,
-                    schedule,
-                    cfg.spam,
-                    seed=_trial_seed(cfg, "loss", trial),
-                )
-                estimates.append(result.estimate)
-                merged.append(result.merged_count)
-                received.append(result.received_count)
-            agg = stats.aggregate_mse(estimates, channels[0].q_z)
-            rows.append(
-                Row(
-                    experiment=cfg.experiment,
-                    m_value=sum(merged) / len(merged),
-                    n_value=sum(received) / len(received),
-                    s=cfg.s,
-                    m=cfg.m,
-                    truth=channels[0].q_z,
-                    mse=agg.mse,
-                    mse_std=agg.mse_std,
-                    crb=None,
-                    runtime_ms=(time.perf_counter() - start) * 1e3,
-                    seed=cfg.seed,
-                    target="qZ1",
-                    t_send_s=t_send,
-                    t_cutoff_s=t_cutoff,
-                )
-            )
+        memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, cutoff_s=t_cutoff)
+        start = time.perf_counter()
+        results = [
+            lossy.run_loss_experiment(channels, LOSS_FIBER, memory, schedule, cfg.spam,
+                                      seed=_trial_seed(cfg, "loss", trial))
+            for trial in range(cfg.trials)
+        ]
+        runtime = (time.perf_counter() - start) * 1e3
+        samples = (sum(r.merged_count for r in results) / cfg.trials,
+                   sum(r.received_count for r in results) / cfg.trials)
+        rows.append(_row(cfg, cfg.spam, samples, [r.estimate for r in results], channels[0].q_z,
+                         runtime, target="qZ1", t_send_s=t_send, t_cutoff_s=t_cutoff))
     return rows
 
 
@@ -402,11 +375,7 @@ DRIVERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Dispatch to the configured driver; rows come back in grid order."""
-    try:
-        driver = DRIVERS[cfg.experiment.replace("-", "_")]
-    except KeyError:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
-    return driver(cfg)
+    return DRIVERS[cfg.experiment](cfg)
 
 
 def write_experiment(cfg: ExperimentConfig) -> str:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliChannel, PauliVector1Q, apply_channel, apply_cnot, partial_trace, tensor
-from .protocols import PERFECT_SPAM, SpamModel
+from .pauli import PauliChannel, PauliVector1Q, apply_channel
+from .protocols import PERFECT_SPAM, SpamModel, _merge_prob
 from .stats import substream
 
 TIME_EPS = 1e-9
@@ -139,10 +139,7 @@ def _merge_outcome_prob(
         qubit1 = decohere(qubit1, waits[0], memory)
     if waits[1] > 0:
         qubit2 = decohere(qubit2, waits[1], memory)
-    pair = apply_cnot(tensor(qubit1, qubit2), control="first")
-    relay = partial_trace(pair, discard="first")
-    relay = apply_channel(ch3, relay)
-    return (1.0 + spam.m * relay.z) / 2.0
+    return _merge_prob(qubit1, qubit2, [ch3], spam.m)
 
 
 def run_loss_experiment(

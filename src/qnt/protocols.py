@@ -137,6 +137,15 @@ def _prob_zero(state: PauliVector1Q, m: float) -> float:
     return (1.0 + m * state.z) / 2.0
 
 
+def _merge_prob(
+    control: PauliVector1Q, target: PauliVector1Q, relay: Iterable[PauliChannel], m: float
+) -> float:
+    """P(outcome 0) after the merge step: CNOT from ``control`` onto ``target``,
+    discard the control, send the target down ``relay`` and measure it."""
+    pair = apply_cnot(tensor(control, target), control="first")
+    return _prob_zero(_send(partial_trace(pair, discard="first"), relay), m)
+
+
 def unicast_prob(
     path: Sequence[PauliChannel], spam: SpamModel = PERFECT_SPAM, basis: str = "Z"
 ) -> float:
@@ -171,10 +180,7 @@ def mergecast_prob(
     split = 1 + len(branch_a2)
     control = apply_channel(dressed[0], spam.prepared_state())
     merged = _send(spam.prepared_state(), dressed[1:split])
-    pair = apply_cnot(tensor(control, merged), control="first")
-    relay = partial_trace(pair, discard="first")
-    relay = _send(relay, dressed[split:])
-    return _prob_zero(relay, spam.m)
+    return _merge_prob(control, merged, dressed[split:], spam.m)
 
 
 def _bypassed_send(channels: Sequence[PauliChannel], spam: SpamModel) -> PauliVector1Q:
@@ -206,10 +212,7 @@ def spam_s_protocol_prob(path: Sequence[PauliChannel], spam: SpamModel) -> float
     """
     if not path:
         raise ProtocolError("path must be nonempty")
-    pair = apply_cnot(tensor(spam.prepared_state(), spam.prepared_state()), control="first")
-    state = partial_trace(pair, discard="first")
-    state = _send(state, path)
-    return _prob_zero(state, spam.m)
+    return _merge_prob(spam.prepared_state(), spam.prepared_state(), path, spam.m)
 
 
 def spam_m_protocol_probs(

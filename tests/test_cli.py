@@ -6,9 +6,19 @@ import re
 
 import pytest
 
-from qnt import protocols, stats
+from qnt import lossy, protocols, stats
 from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_spam_grid
-from qnt.experiments import CSV_COLUMNS, ExperimentConfig, Row, rows_to_csv, run_experiment
+from qnt.experiments import (
+    CSV_COLUMNS,
+    LOSS_FIBER,
+    LOSS_MEMORY_T1_S,
+    LOSS_MEMORY_T2_S,
+    ExperimentConfig,
+    Row,
+    _trial_seed,
+    rows_to_csv,
+    run_experiment,
+)
 from qnt.pauli import PauliChannel
 from qnt.protocols import EstimationError, SpamModel
 
@@ -255,6 +265,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_cfg(experiment="nope"))
 
+    def test_config_checks_and_spells_experiment_once(self):
+        with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
+            ExperimentConfig(experiment="bogus")
+        # the CLI spelling writes the same CSV as the CLI
+        cfg = small_cfg(experiment="spam-s", trials=2, q_params=(0.5, 0.25), n_samples=(2000,))
+        lines = rows_to_csv(cfg, run_experiment(cfg)).splitlines()
+        assert json.loads(lines[0].removeprefix("# config "))["experiment"] == "spam_s"
+        assert lines[2].startswith("spam_s,")
+
     def test_spam_s_driver(self):
         cfg = small_cfg(experiment="spam_s", s=0.9, m=0.9, trials=10, q_params=(0.5, 0.25))
         rows = run_experiment(cfg)
@@ -288,6 +307,21 @@ class TestRunExperiment:
         # identical arrival streams with both cutoffs below the send interval
         assert rows[0].m_value == rows[1].m_value
         assert rows[0].mse == rows[1].mse
+        # each row aggregates a direct loop over the per-trial seeds
+        channels = tuple(PauliChannel(q, q, q) for q in cfg.q_params)
+        schedule = lossy.Schedule(send_interval_s=0.5, horizon_s=300.0)
+        for row in rows:
+            memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, row.t_cutoff_s)
+            results = [
+                lossy.run_loss_experiment(channels, LOSS_FIBER, memory, schedule, cfg.spam,
+                                          seed=_trial_seed(cfg, "loss", trial))
+                for trial in range(cfg.trials)
+            ]
+            assert row.m_value == sum(r.merged_count for r in results) / cfg.trials
+            assert row.n_value == sum(r.received_count for r in results) / cfg.trials
+            reference = stats.aggregate_mse([r.estimate for r in results], row.truth)
+            assert row.truth == 0.5
+            assert (row.mse, row.mse_std) == (reference.mse, reference.mse_std)
 
     def test_star_mse_decreases_with_samples(self):
         cfg = small_cfg(trials=150, m_samples=(2000, 10000), n_samples=(2000, 10000))
