@@ -64,11 +64,10 @@ LOSS_MEMORY_T2_S = 1.0
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults, and ``experiment`` is a ``DRIVERS`` key (``spam-s`` reads as
-    ``spam_s``).  An unknown experiment and out-of-range values, including a
-    zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
-    rejects and an etch topology that cannot be read or etched, raise
-    ``ValueError``."""
+    defaults, and ``experiment`` to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).
+    An unknown experiment and out-of-range values, including a zero SPAM
+    parameter or q divisor, loss timings that :mod:`qnt.lossy` rejects and an
+    etch topology that cannot be read or etched, raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
