@@ -268,7 +268,7 @@ class TestRunExperiment:
     def test_config_checks_and_spells_experiment_once(self):
         with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
             ExperimentConfig(experiment="bogus")
-        # the CLI spelling writes the same CSV as the CLI
+        # a config given the CLI's spelling writes the name the CLI writes
         cfg = small_cfg(experiment="spam-s", trials=2, q_params=(0.5, 0.25), n_samples=(2000,))
         lines = rows_to_csv(cfg, run_experiment(cfg)).splitlines()
         assert json.loads(lines[0].removeprefix("# config "))["experiment"] == "spam_s"
