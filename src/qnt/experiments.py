@@ -206,17 +206,15 @@ def _row(
     cfg: ExperimentConfig,
     spam: SpamModel,
     samples: tuple[float, float],
-    estimates,
-    truth: float,
+    agg: stats.TrialAggregate,
     runtime_ms: float,
     crb: Optional[float] = None,
     **context,
 ) -> Row:
-    """A cell's row: the MSE of its trial ``estimates`` against ``truth``, with
+    """A cell's row: the truth and MSE of its trials' aggregate ``agg``, with
     ``samples`` as (M, N) and ``context`` for the columns after ``seed``."""
-    agg = stats.aggregate_mse(estimates, truth)
     # the fixed column prefix, in CSV order
-    return Row(cfg.experiment, *samples, spam.s, spam.m, truth, agg.mse, agg.mse_std,
+    return Row(cfg.experiment, *samples, spam.s, spam.m, agg.truth, agg.mse, agg.mse_std,
                crb, runtime_ms, cfg.seed, **context)
 
 
@@ -248,8 +246,8 @@ def _ratio_rows(
             f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator=numerator,
         )
         runtime = (time.perf_counter() - start) * 1e3
-        rows.append(_row(cfg, spam, samples, estimates / divisor, truth, runtime,
-                         crb=crb(*samples), target=target))
+        rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
+                         runtime, crb=crb(*samples), target=target))
     return rows
 
 
@@ -325,6 +323,8 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
     M share that sweep's runtime."""
     topology = cfg.topology
     spam = cfg.spam
+    edge_ids = topology.sorted_edge_ids()
+    truths = [topology.edges[edge_id].channel.q_z for edge_id in edge_ids]
     rows = []
     for m_size in cfg.m_samples:
         start = time.perf_counter()
@@ -333,11 +333,10 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
             bases=("Z",), trials=cfg.trials,
         )
         runtime = (time.perf_counter() - start) * 1e3
+        aggs = stats.aggregate_mse_rows([run.estimates[edge_id].q_z for edge_id in edge_ids], truths)
         rows += [
-            _row(cfg, spam, (m_size, m_size), run.estimates[edge_id].q_z,
-                 topology.edges[edge_id].channel.q_z, runtime,
-                 target=edge_id, step=run.steps[edge_id])
-            for edge_id in topology.sorted_edge_ids()
+            _row(cfg, spam, (m_size, m_size), agg, runtime, target=edge_id, step=run.steps[edge_id])
+            for edge_id, agg in zip(edge_ids, aggs)
         ]
     return rows
 
@@ -357,8 +356,9 @@ def run_loss(cfg: ExperimentConfig) -> list[Row]:
         runtime = (time.perf_counter() - start) * 1e3
         samples = (sum(r.merged_count for r in results) / cfg.trials,
                    sum(r.received_count for r in results) / cfg.trials)
-        rows.append(_row(cfg, cfg.spam, samples, [r.estimate for r in results], channels[0].q_z,
-                         runtime, target="qZ1", t_send_s=t_send, t_cutoff_s=t_cutoff))
+        agg = stats.aggregate_mse([r.estimate for r in results], channels[0].q_z)
+        rows.append(_row(cfg, cfg.spam, samples, agg, runtime,
+                         target="qZ1", t_send_s=t_send, t_cutoff_s=t_cutoff))
     return rows
 
 

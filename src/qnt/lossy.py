@@ -41,9 +41,10 @@ class FiberParams:
     alpha_per_km: float
 
     def __post_init__(self):
-        if self.length_km < 0 or self.alpha_per_km < 0:
+        # written so that NaN fails every check
+        if not (self.length_km >= 0 and self.alpha_per_km >= 0):
             raise ValueError("length and attenuation must be nonnegative")
-        if self.speed_km_per_s <= 0:
+        if not self.speed_km_per_s > 0:
             raise ValueError("propagation speed must be positive")
         if not 0.0 <= self.p0 <= 1.0:
             raise ValueError(f"p0 = {self.p0} outside [0, 1]")
@@ -58,11 +59,12 @@ class MemoryParams:
     cutoff_s: float
 
     def __post_init__(self):
-        if self.t1_s <= 0 or self.t2_s <= 0:
+        # written so that NaN fails every check
+        if not (self.t1_s > 0 and self.t2_s > 0):
             raise ValueError("T1 and T2 must be positive")
         if self.t2_s > 2.0 * self.t1_s + TIME_EPS:
             raise ValueError("physicality requires T2 <= 2 T1")
-        if self.cutoff_s < 0:
+        if not self.cutoff_s >= 0:
             raise ValueError(f"cutoff must be nonnegative, got {self.cutoff_s}")
 
 
@@ -153,41 +155,63 @@ def run_loss_experiment(
     """Simulate the lossy merge protocol over the schedule horizon.
 
     Arrivals pair first-in first-out; a qubit that would wait past the
-    cutoff is dropped.  Randomness is split into three substreams (arrivals,
-    relay-fiber loss, measurement outcomes) that are consumed independently
-    of the cutoff, so for all cutoffs below the send interval the counts
-    coincide exactly.  The state pipeline runs once per distinct wait pair.
+    cutoff is dropped.  The walk compares integer slot gaps against k, the
+    largest wait in slots that the cutoff keeps (``k dt <= cutoff +
+    TIME_EPS``), computed once.  Randomness is split into three substreams
+    (arrivals, relay-fiber loss, measurement outcomes) that are consumed
+    independently of the cutoff, so for all cutoffs below the send interval
+    the counts coincide exactly.  The state pipeline runs once per distinct
+    received gap.
     """
     p_s = survival_prob(fiber)
     dt = schedule.send_interval_s
-    arrived = substream(seed, "loss-arrivals", 0).random((schedule.n_slots, 2)) < p_s
+    n_slots = schedule.n_slots
+    arrived = substream(seed, "loss-arrivals", 0).random((n_slots, 2)) < p_s
     first, second = (np.flatnonzero(arrived[:, root]).tolist() for root in (0, 1))
 
-    gaps: list[tuple[int, int]] = []  # per merge, each root's wait in slots
+    # k is the largest g with g * dt <= limit.  The quotient may round across
+    # an integer, so that float test corrects it; no gap reaches n_slots, which
+    # caps k for an infinite or huge cutoff.  As dt > 0, g * dt grows with g,
+    # so -k <= gap <= k keeps exactly the waits with |gap| * dt <= limit.
+    limit = memory.cutoff_s + TIME_EPS
+    k = int(min(limit / dt, n_slots))
+    while k < n_slots and (k + 1) * dt <= limit:
+        k += 1
+    while k > 0 and k * dt > limit:
+        k -= 1
+
+    gaps: list[int] = []  # per merge, root 1's arrival slot minus root 0's
+    append = gaps.append
+    n_first, n_second = len(first), len(second)
     i = j = 0
-    while i < len(first) and j < len(second):
+    while i < n_first and j < n_second:
         gap = second[j] - first[i]
-        if abs(gap) * dt > memory.cutoff_s + TIME_EPS:  # the earlier qubit expired
-            i, j = (i + 1, j) if gap > 0 else (i, j + 1)
+        if gap > k:  # root 0's qubit expired
+            i += 1
+        elif gap < -k:  # root 1's qubit expired
+            j += 1
         else:
-            gaps.append((max(gap, 0), max(-gap, 0)))
-            i, j = i + 1, j + 1
+            append(gap)
+            i += 1
+            j += 1
 
     relayed = substream(seed, "loss-relay", 0).random(len(gaps)) < p_s
-    received = [pair for pair, kept in zip(gaps, relayed) if kept]
-    outcomes = substream(seed, "loss-outcomes", 0).random(len(received))
-    prob = {pair: _merge_outcome_prob(channels, (pair[0] * dt, pair[1] * dt), memory, spam)
-            for pair in set(received)}
-    zeros = int(sum(u < prob[pair] for u, pair in zip(outcomes, received)))
+    received = np.array(gaps, dtype=np.int64)[relayed]
+    outcomes = substream(seed, "loss-outcomes", 0).random(received.size)
+    distinct, inverse = np.unique(received, return_inverse=True)
+    probs = np.array([_merge_outcome_prob(channels, (max(g, 0) * dt, max(-g, 0) * dt), memory, spam)
+                      for g in distinct.tolist()])
+    zeros = int(np.count_nonzero(outcomes < probs[inverse]))
+    n_received = received.size
 
     reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
-    if not received or reference == 0.0:
+    if n_received == 0 or reference == 0.0:
         estimate = math.nan
     else:
-        estimate = (2.0 * zeros / len(received) - 1.0) / reference
+        estimate = (2.0 * zeros / n_received - 1.0) / reference
     return LossExperimentResult(
         merged_count=len(gaps),
-        received_count=len(received),
+        received_count=n_received,
         zero_count=zeros,
         estimate=estimate,
     )

@@ -51,22 +51,35 @@ class TrialAggregate:
 
 def aggregate_mse(estimates: Union[Sequence[float], np.ndarray], truth: float) -> TrialAggregate:
     """Mean squared error of ``estimates`` against ``truth``."""
-    values = np.asarray(estimates, dtype=float)
-    if not values.size:
+    return aggregate_mse_rows(np.reshape(np.asarray(estimates, dtype=float), (1, -1)), [truth])[0]
+
+
+def aggregate_mse_rows(
+    estimates: Union[Sequence[Sequence[float]], np.ndarray], truths: Sequence[float]
+) -> list[TrialAggregate]:
+    """One :class:`TrialAggregate` per row of a ``(cells, trials)`` matrix,
+    row ``i`` against ``truths[i]``.
+
+    Reducing over the last, contiguous axis sums each row in the same order
+    as a 1-D array, so every aggregate is bit for bit that of its row alone;
+    reducing axis 0 of the transposed matrix is not.
+    """
+    values = np.ascontiguousarray(estimates, dtype=float)
+    truth = np.asarray(truths, dtype=float)
+    if values.ndim != 2 or values.shape[0] != truth.size:
+        raise ValueError(f"need one truth per row of a matrix, got {values.shape} and {truth.size}")
+    n_trials = values.shape[1]
+    if not n_trials:
         raise ValueError("estimates must be nonempty")
-    # float_power squares through libm pow, like Python's float ``**``, so a
-    # list of floats aggregates bit for bit as a scalar loop would; ``**`` on
-    # an array multiplies instead and differs in the last bit now and then.
-    sq = np.float_power(values - truth, 2)
-    mse = float(sq.mean())
-    sq_std = float(sq.std(ddof=0))
-    return TrialAggregate(
-        truth=float(truth),
-        mse=mse,
-        sq_err_std=sq_std,
-        mse_std=sq_std / math.sqrt(values.size),
-        n_trials=values.size,
-    )
+    # float_power squares through libm pow, like Python's float ``**``, so each
+    # squared error is bit for bit that of a scalar loop; ``**`` on an array
+    # multiplies instead and differs in the last bit now and then.
+    sq = np.float_power(values - truth[:, np.newaxis], 2)
+    root_n = math.sqrt(n_trials)
+    return [
+        TrialAggregate(truth=t, mse=mse, sq_err_std=sq_std, mse_std=sq_std / root_n, n_trials=n_trials)
+        for t, mse, sq_std in zip(truth.tolist(), sq.mean(axis=-1).tolist(), sq.std(axis=-1).tolist())
+    ]
 
 
 def crb_mergecast(

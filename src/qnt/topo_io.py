@@ -1,4 +1,4 @@
-"""Line-oriented topology files and a JSON-compatible export.
+"""Line-oriented topology files.
 
 Text schema (one declaration per line, ``#`` comments and blank lines
 allowed):
@@ -13,7 +13,6 @@ error reports the offending line number.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .network import Edge, Topology
@@ -84,34 +83,6 @@ def format_topology(topology: Topology) -> str:
             f"edge {edge_id} {edge.node_a} {edge.node_b} {q.q_x:.17g} {q.q_y:.17g} {q.q_z:.17g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def topology_to_json(topology: Topology) -> str:
-    payload = {
-        "nodes": [
-            {"id": node, "kind": topology.nodes[node]}
-            for node in sorted(topology.nodes, key=topology.sort_key)
-        ],
-        "edges": [
-            {
-                "id": edge_id,
-                "endpoints": [topology.edges[edge_id].node_a, topology.edges[edge_id].node_b],
-                "q": list(topology.edges[edge_id].channel.q),
-            }
-            for edge_id in topology.sorted_edge_ids()
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def topology_from_json(text: str) -> Topology:
-    payload = json.loads(text)
-    nodes = {item["id"]: item["kind"] for item in payload["nodes"]}
-    edges = [
-        Edge(item["id"], item["endpoints"][0], item["endpoints"][1], PauliChannel(*item["q"]))
-        for item in payload["edges"]
-    ]
-    return Topology(nodes, edges)
 
 
 def load_topology(path: str) -> Topology:

@@ -99,6 +99,13 @@ class TestArgParsing:
         args = build_parser().parse_args(["loss", "--q", "0,0.25,0.35"])
         assert config_from_args(args).q_params == (0.0, 0.25, 0.35)
 
+    def test_loss_accepts_infinite_cutoff(self, capsys):
+        # an infinite cutoff means that a waiting qubit never expires
+        argv = ["loss", "--t-send", "0.5", "--t-cutoff", "inf", "--horizon", "60", "--trials", "1"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()[1:]
+        assert dict(zip(header.split(","), row.split(",")))["t_cutoff_s"] == "inf"
+
     def test_negative_q_list_as_separate_argument(self, capsys):
         outputs = []
         for q_args in (["--q", "-0.2,0.25,0.35"], ["--q=-0.2,0.25,0.35"]):
@@ -145,6 +152,7 @@ class TestArgParsing:
             ["loss", "--t-send", "0"],
             ["loss", "--t-send", "7200"],
             ["loss", "--t-cutoff", "-1"],
+            ["loss", "--t-cutoff", "nan"],
             ["loss", "--horizon", "inf"],
             *UNKNOWN_OPTIONS,
             ["star", "--q", "2,0.25,0.35"],

@@ -46,6 +46,19 @@ class TestParams:
         with pytest.raises(ValueError):
             MemoryParams(t1_s=1.0, t2_s=1.0, cutoff_s=-0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: MemoryParams(t1_s=1.0, t2_s=1.0, cutoff_s=math.nan),
+        lambda: MemoryParams(t1_s=math.nan, t2_s=1.0, cutoff_s=0.1),
+        lambda: MemoryParams(t1_s=1.0, t2_s=math.nan, cutoff_s=0.1),
+        lambda: FiberParams(math.nan, 2e5, 0.5, 0.05),
+        lambda: FiberParams(10, math.nan, 0.5, 0.05),
+        lambda: FiberParams(10, 2e5, 0.5, math.nan),
+    ])
+    def test_nan_rejected(self, make):
+        # every comparison with NaN is False, so a NaN cutoff would never expire
+        with pytest.raises(ValueError):
+            make()
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             Schedule(send_interval_s=2.0, horizon_s=1.0)
@@ -233,14 +246,19 @@ def reference_loss(channels, fiber, memory, schedule, spam=PERFECT_SPAM, seed=0)
 
 LOSSLESS_FIBER = FiberParams(10, 2e5, 0.0, 0.0)
 DEAD_FIBER = FiberParams(10, 2e5, 1.0, 0.05)
+SPARSE_FIBER = FiberParams(10, 2e5, 0.95, 0.0)  # survival 0.05, so waits of tens of slots
 # (fiber, send interval, horizon, cutoff, spam); a cutoff of k dt - TIME_EPS
 # keeps a qubit whose wait is exactly k dt, since only waits beyond
-# cutoff + TIME_EPS expire
+# cutoff + TIME_EPS expire; an infinite or huge cutoff keeps every wait
 REFERENCE_CASES = [
     *((REFERENCE_FIBER, 0.5, 600.0, cutoff, PERFECT_SPAM)
-      for cutoff in (0.0, 0.05, 0.35, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 - TIME_EPS, 5.0)),
+      for cutoff in (0.0, 0.05, 0.35, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 - TIME_EPS, 5.0,
+                     1e300, math.inf)),
     *((REFERENCE_FIBER, 0.1, 300.0, cutoff, PERFECT_SPAM)
       for cutoff in (3 * 0.1 - 1e-10, 3 * 0.1, 3 * 0.1 + 1e-10, 3 * 0.1 - TIME_EPS, 10.0)),
+    # floor((cutoff + TIME_EPS) / dt) is 17 where the largest kept wait is 16
+    # slots, and 42 where it is 43
+    *((SPARSE_FIBER, 0.1, 300.0, cutoff, PERFECT_SPAM) for cutoff in (1.6999999989999999, 4.299999999)),
     (REFERENCE_FIBER, 0.5, 600.0, 2.0, SpamModel(0.9, 0.8)),
     (LOSSLESS_FIBER, 0.5, 100.0, 0.75, PERFECT_SPAM),
     (DEAD_FIBER, 0.5, 100.0, 0.75, PERFECT_SPAM),

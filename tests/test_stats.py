@@ -5,6 +5,7 @@ import pytest
 
 from qnt.stats import (
     aggregate_mse,
+    aggregate_mse_rows,
     crb_mergecast,
     crb_spam_m,
     crb_spam_s,
@@ -61,6 +62,22 @@ class TestAggregateMse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_mse([], 0.5)
+
+    @pytest.mark.parametrize("n_trials", [1, 10, 50, 1000])
+    def test_rows_match_one_dimensional_reduction_bit_for_bit(self, rng, n_trials):
+        truths = rng.uniform(0.8, 1.0, size=250)
+        matrix = rng.normal(0.9, 0.05, size=(250, n_trials))
+        # a column-major matrix is made row-major first, so it aggregates the same
+        for estimates in (matrix, np.asfortranarray(matrix)):
+            for row, truth, agg in zip(matrix, truths, aggregate_mse_rows(estimates, truths)):
+                sq = np.float_power(row.copy() - truth, 2)
+                assert (agg.truth, agg.mse, agg.sq_err_std, agg.n_trials) == (
+                    truth, float(sq.mean()), float(sq.std()), n_trials)
+                assert agg.mse_std == agg.sq_err_std / math.sqrt(n_trials)
+
+    def test_rows_need_one_truth_per_row(self):
+        with pytest.raises(ValueError):
+            aggregate_mse_rows(np.zeros((3, 4)), [0.5])
 
 
 class TestCrbMergecast:

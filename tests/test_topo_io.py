@@ -6,8 +6,6 @@ from qnt.topo_io import (
     bundled_topology,
     format_topology,
     parse_topology,
-    topology_from_json,
-    topology_to_json,
 )
 
 VALID = """
@@ -82,11 +80,3 @@ class TestRoundTrips:
         for edge_id, edge in topo.edges.items():
             assert again.edges[edge_id].channel.q == edge.channel.q
             assert again.edges[edge_id].endpoints == edge.endpoints
-
-    def test_json_round_trip(self):
-        topo = bundled_topology("star3")
-        again = topology_from_json(topology_to_json(topo))
-        assert set(again.edges) == set(topo.edges)
-        assert again.nodes == dict(topo.nodes)
-        for edge_id, edge in topo.edges.items():
-            assert again.edges[edge_id].channel.q == edge.channel.q
