@@ -28,6 +28,7 @@ from .network import (
     Edge,
     EtchingState,
     Topology,
+    etching_rounds,
     peripheral_edges,
     select_mergecast_branches,
     simplify_degree2,

@@ -70,7 +70,10 @@ def parse_spam_grid(text: str) -> tuple[tuple[float, float], ...]:
 
 def _default_seed() -> int:
     env = os.environ.get("QNT_SEED")
-    return int(env) if env else 12345
+    try:
+        return int(env) if env else 12345
+    except ValueError:
+        raise ValueError(f"QNT_SEED must be an integer, got {env!r}") from None
 
 
 @functools.cache

@@ -65,9 +65,10 @@ LOSS_MEMORY_T2_S = 1.0
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
     defaults, and ``experiment`` to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).
-    An unknown experiment and out-of-range values, including a zero SPAM
-    parameter or q divisor, loss timings that :mod:`qnt.lossy` rejects and an
-    etch topology that cannot be read or etched, raise ``ValueError``."""
+    An unknown experiment and out-of-range values, including a negative seed,
+    a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
+    rejects and an etch topology that cannot be read or etched, raise
+    ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -89,6 +90,8 @@ class ExperimentConfig:
         self.experiment = self.experiment.replace("-", "_")
         if self.experiment not in DRIVERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is None:
             self.trials = 1000 if self.full_scale else 100
         if self.trials < 1:

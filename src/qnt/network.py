@@ -1,12 +1,13 @@
-"""Network graph model: monitors, Pauli-channel edges, and etching bookkeeping.
+"""Network graph model: monitors, Pauli-channel edges, and the etching rounds.
 
 A topology is an undirected multigraph whose nodes are either ``monitor``
 (peripheral, degree exactly 1, capable of state preparation/measurement) or
 ``internal`` (gate operations only).  Tomography identifies edges from the
-periphery inward; :class:`EtchingState` tracks which edges are identified,
-which internal nodes have been promoted to *effective monitors*, and through
-which edge each promotion happened (so every effective monitor has a chain
-of identified edges back to a real monitor).
+periphery inward: :func:`etching_rounds` yields each round's targets with
+their Mergecast branch selections and then promotes the merge nodes to
+*effective monitors*, each with a chain of identified edges back to a real
+monitor (:class:`EtchingState`).  :mod:`qnt.protocols` turns the rounds into
+estimates.
 
 Degree-2 internal nodes make their incident channels individually
 unidentifiable; :func:`simplify_degree2` contracts each maximal chain of
@@ -277,22 +278,20 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
 
 @dataclass
 class EtchingState:
-    """Mutable bookkeeping for the progressive etching sweep.
+    """Bookkeeping of the progressive etching sweep.
 
-    ``identified`` maps each fully estimated edge to its per-basis estimates
-    (stored by the protocol driver; values are opaque to this module).
-    ``effective_monitors`` is the set of nodes usable as monitor endpoints,
-    and ``promoted_via[node]`` records the identified edge through which an
-    internal node was promoted, giving a chain back to a real monitor.
+    ``identified`` is the set of estimated edges.  ``chains`` maps each
+    effective monitor to its node-outward chain of identified edges back to
+    a real monitor (the first element is the edge incident to the node;
+    empty for a real monitor).
     """
 
-    identified: dict = field(default_factory=dict)
-    effective_monitors: set = field(default_factory=set)
-    promoted_via: dict = field(default_factory=dict)
+    identified: set = field(default_factory=set)
+    chains: dict = field(default_factory=dict)
 
     @classmethod
     def initial(cls, topology: Topology) -> "EtchingState":
-        return cls(effective_monitors=set(topology.monitors))
+        return cls(chains=dict.fromkeys(topology.monitors, ()))
 
 
 def peripheral_edges(topology: Topology, state: EtchingState) -> set:
@@ -301,31 +300,9 @@ def peripheral_edges(topology: Topology, state: EtchingState) -> set:
     for edge_id, edge in topology.edges.items():
         if edge_id in state.identified:
             continue
-        if edge.node_a in state.effective_monitors or edge.node_b in state.effective_monitors:
+        if edge.node_a in state.chains or edge.node_b in state.chains:
             out.add(edge_id)
     return out
-
-
-def monitor_chain(topology: Topology, state: EtchingState, node: str) -> tuple[str, ...]:
-    """Identified edges leading from ``node`` back to a real monitor.
-
-    Empty for a real monitor; for effective monitors it follows the
-    promotion records.  The returned order is node-outward (first element is
-    the edge incident to ``node``).
-    """
-    chain = []
-    current = node
-    seen = set()
-    while not topology.is_monitor(current):
-        if current in seen:
-            raise TopologyError(f"promotion records form a cycle at node {current!r}")
-        seen.add(current)
-        edge_id = state.promoted_via.get(current)
-        if edge_id is None:
-            raise TopologyError(f"node {current!r} is not an effective monitor")
-        chain.append(edge_id)
-        current = topology.edges[edge_id].other(current)
-    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -338,7 +315,6 @@ class BranchSelection:
     """
 
     merge_node: str
-    outer_node: str
     target_chain: tuple[str, ...]
     path_a2: tuple[str, ...]
     chain_a2: tuple[str, ...]
@@ -373,7 +349,7 @@ def _ranked_monitors(
     better are final.
     """
     edges = topology.edges
-    monitors = state.effective_monitors
+    chains = state.chains
     parent: dict[str, Optional[tuple[str, str]]] = {start: None}
 
     def path_to(node: str, last_edge: str) -> tuple[str, ...]:
@@ -394,10 +370,10 @@ def _ranked_monitors(
                 if edge_id in blocked_edges:
                     continue
                 other = edges[edge_id].other(node)
-                if other in monitors:
+                if other in chains:
                     if other not in discovered and other != start:
                         discovered.add(other)
-                        chain = monitor_chain(topology, state, other)
+                        chain = chains[other]
                         rank = depth + 1 + len(chain)
                         heapq.heappush(heap, (rank, topology.sort_key(other), len(discovered),
                                               other, node, edge_id, chain))
@@ -433,7 +409,7 @@ def select_mergecast_branches(
     edge = topology.edges[target]
     candidates = []
     for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a)):
-        if outer not in state.effective_monitors:
+        if outer not in state.chains:
             continue
         candidates.append((outer, center))
     if not candidates:
@@ -442,7 +418,7 @@ def select_mergecast_branches(
 
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
-        target_chain = monitor_chain(topology, state, outer)
+        target_chain = state.chains[outer]
         reserved = set(target_chain) | {target}
         for monitor_a, path_a, chain_a in _ranked_monitors(topology, state, center, reserved):
             if monitor_a == outer:
@@ -458,7 +434,6 @@ def select_mergecast_branches(
                     continue
                 return BranchSelection(
                     merge_node=center,
-                    outer_node=outer,
                     target_chain=target_chain,
                     path_a2=path_a,
                     chain_a2=chain_a,
@@ -470,3 +445,26 @@ def select_mergecast_branches(
             f"on edge-disjoint paths avoiding target {target!r}"
         )
     raise BranchSelectionError(last_error)
+
+
+def etching_rounds(topology: Topology) -> Iterator[list[tuple[str, BranchSelection]]]:
+    """Yield the rounds of progressive etching as ``[(target, selection), ...]``.
+
+    A round is the frozen frontier of :func:`peripheral_edges` in natural
+    edge order, with one branch selection per target made before the round
+    is yielded.  Once the caller has taken a round, its edges count as
+    identified and each merge node becomes an effective monitor whose chain
+    runs through the target; a node promoted in a round is not visible within
+    it, and the first promotion of a node wins.
+    """
+    state = EtchingState.initial(topology)
+    while True:
+        frontier = sorted(peripheral_edges(topology, state), key=topology.sort_key)
+        if not frontier:
+            return
+        selections = [(target, select_mergecast_branches(topology, state, target))
+                      for target in frontier]
+        yield selections
+        for target, selection in selections:
+            state.identified.add(target)
+            state.chains.setdefault(selection.merge_node, (target, *selection.target_chain))

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import network
-from .network import EtchingState, Topology
+from .network import Topology
 from .pauli import (
     Dressing,
     PauliChannel,
@@ -354,14 +354,13 @@ def run_progressive_etching(
 ) -> EtchingRun:
     """Identify every channel of a simplified topology, periphery inward.
 
-    Rounds proceed on a frozen frontier snapshot: all edges currently
-    touching an effective monitor are estimated (ascending natural edge-id
-    order), then their internal endpoints are promoted at once, exposing the
-    next layer.  A target whose effective-monitor endpoint is internal is
-    reached through the chain of already-identified edges backing that
-    monitor; the ratio estimate then includes the true chain product, and
-    dividing by the *estimated* chain product (from earlier rounds)
-    propagates earlier errors exactly as a real deployment would.
+    Each round of :func:`network.etching_rounds` (a frozen frontier in
+    ascending natural edge-id order, with its branch selections) is estimated
+    here.  A target whose effective-monitor endpoint is internal is reached
+    through the chain of already-identified edges backing that monitor; the
+    ratio estimate then includes the true chain product, and dividing by the
+    *estimated* chain product (from earlier rounds) propagates earlier errors
+    exactly as a real deployment would.
 
     Per round and basis, one :func:`sample_ratio` call draws every frontier target
     (column j is target j) from ``etch|{round}|{basis}|merge``/``|uni``; a degenerate
@@ -374,21 +373,16 @@ def run_progressive_etching(
     if problems:
         raise ProtocolError("topology not ready for etching: " + "; ".join(map(str, problems)))
     unmeasured = math.nan if trials is None else np.full(trials, math.nan)
-    state = EtchingState.initial(topology)
+    identified = {}  # edge -> per-basis estimates, for the chain corrections
     run = EtchingRun()
-    round_num = 0
+    edges = topology.edges
 
-    while True:
-        frontier = sorted(network.peripheral_edges(topology, state), key=topology.sort_key)
-        if not frontier:
-            break
-        round_num += 1
+    for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
+        frontier = [target for target, _ in selections]
         probs = {basis: ([], []) for basis in bases}  # basis -> (p_merge, p_uni) per target
-        chains, promotions = [], []
+        chains = []
 
-        for target in frontier:
-            selection = network.select_mergecast_branches(topology, state, target)
-            edges = topology.edges
+        for target, selection in selections:
             chain_true = [edges[e].channel for e in selection.target_chain]
             target_true = compose_channels([*chain_true, edges[target].channel])
             a2_true = [edges[e].channel for e in selection.full_a2]
@@ -396,9 +390,7 @@ def run_progressive_etching(
             for basis, (p_merge, p_uni) in probs.items():
                 p_merge.append(mergecast_prob(target_true, a2_true, b_true, spam, basis))
                 p_uni.append(unicast_prob([*a2_true, *b_true], spam, basis))
-            chains.append([state.identified[e] for e in selection.target_chain])
-            if selection.merge_node not in state.effective_monitors:
-                promotions.append((selection.merge_node, target))
+            chains.append([identified[e] for e in selection.target_chain])
 
         round_results = {target: {} for target in frontier}
         for basis, (p_merge, p_uni) in probs.items():
@@ -417,13 +409,9 @@ def run_progressive_etching(
                 round_results[target][basis] = estimate
 
         for target, per_basis in round_results.items():
-            state.identified[target] = per_basis
+            identified[target] = per_basis
             run.steps[target] = round_num
             run.estimates[target] = ChannelEstimate(*(per_basis.get(b, unmeasured) for b in "XYZ"))
-        for node, via_edge in promotions:
-            if node not in state.effective_monitors:
-                state.effective_monitors.add(node)
-                state.promoted_via[node] = via_edge
 
     return run
 

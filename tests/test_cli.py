@@ -82,6 +82,19 @@ class TestArgParsing:
         args = build_parser().parse_args(["star"])
         assert config_from_args(args).seed == 991
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "QNT_SEED must be an integer, got 'abc'"),
+        ("-3", "seed must be non-negative, got -3"),
+    ])
+    def test_bad_env_seed_is_a_usage_error(self, value, message, monkeypatch, capsys):
+        monkeypatch.setenv("QNT_SEED", value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loss", "--trials", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qnt loss " in err
+        assert f"qnt loss: error: {message}" in err
+
     def test_successive_mains_share_no_state(self, monkeypatch, capsys):
         monkeypatch.delenv("QNT_SEED", raising=False)
         configs = []
@@ -167,6 +180,8 @@ class TestArgParsing:
             ["star", "--q", "-0.5,0.25,0.35"],
             ["loss", "--t-cutoff", "-1,5"],
             ["star", "--q", "--trials", "2"],
+            ["star", "--seed", "-5"],
+            ["etch", "--seed", "-1"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):

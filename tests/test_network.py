@@ -11,7 +11,7 @@ from qnt.network import (
     EtchingState,
     Topology,
     TopologyError,
-    monitor_chain,
+    etching_rounds,
     natural_key,
     peripheral_edges,
     select_mergecast_branches,
@@ -196,45 +196,25 @@ class TestSimplifyDegree2:
 
 
 class TestPeripheralEdges:
-    def test_fig1_three_layers(self):
-        topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        first = peripheral_edges(topo, state)
-        assert first == {f"P{i}" for i in range(12, 20)}
-        # pretend the first layer has been identified, promoting ring nodes
-        for edge_id in sorted(first, key=natural_key):
-            state.identified[edge_id] = {"Z": 0.8}
-            edge = topo.edges[edge_id]
-            inner = edge.node_a if not topo.is_monitor(edge.node_a) else edge.node_b
-            if inner not in state.effective_monitors:
-                state.effective_monitors.add(inner)
-                state.promoted_via[inner] = edge_id
-        second = peripheral_edges(topo, state)
-        assert second == {f"P{i}" for i in range(2, 12)}
-
     def test_all_identified_empty(self):
         topo = star3()
         state = EtchingState.initial(topo)
-        for edge_id in topo.edges:
-            state.identified[edge_id] = {"Z": 1.0}
+        state.identified.update(topo.edges)
         assert peripheral_edges(topo, state) == set()
 
 
-class TestMonitorChain:
-    def test_real_monitor_has_empty_chain(self):
-        topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        assert monitor_chain(topo, state, "D1") == ()
-
-    def test_promoted_node_chain(self):
-        topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        state.effective_monitors.add("B1")
-        state.promoted_via["B1"] = "P12"
-        assert monitor_chain(topo, state, "B1") == ("P12",)
-        state.effective_monitors.add("A1")
-        state.promoted_via["A1"] = "P2"
-        assert monitor_chain(topo, state, "A1") == ("P2", "P12")
+class TestEtchingRounds:
+    def test_fig1_three_rounds(self):
+        rounds = list(etching_rounds(bundled_topology("fig1")))
+        assert [[target for target, _ in selections] for selections in rounds] == [
+            [f"P{i}" for i in range(12, 20)], [f"P{i}" for i in range(2, 12)], ["P1"]]
+        # a node promoted in round 1 is not visible within it
+        for _, selection in rounds[0]:
+            assert selection.target_chain == selection.chain_a2 == selection.chain_b == ()
+        # A1 is promoted through P2 (whose outer node B1 came through P12)
+        # before P11 (C1 through P19) in round 2: the first promotion wins
+        [(_, last)] = rounds[2]
+        assert (last.merge_node, last.target_chain) == ("A2", ("P2", "P12"))
 
 
 class TestBranchSelection:
@@ -243,7 +223,6 @@ class TestBranchSelection:
         state = EtchingState.initial(topo)
         sel = select_mergecast_branches(topo, state, "P1")
         assert sel.merge_node == "C"
-        assert sel.outer_node == "A1"
         assert {sel.path_a2, sel.path_b} == {("P2",), ("P3",)}
         assert sel.target_chain == ()
 
@@ -274,7 +253,7 @@ class TestBranchSelection:
             node = "B1"
             for edge_id in path[:-1]:
                 node = topo.edges[edge_id].other(node)
-                assert node not in state.effective_monitors
+                assert node not in state.chains
 
     def test_single_reachable_monitor_fails(self):
         # Every monitor-reaching path from the merge node B ends at the same
@@ -317,7 +296,7 @@ def _reference_paths(topology, state, start, blocked_edges):
             if edge_id in blocked_edges or edge_id in path:
                 continue
             other = topology.edges[edge_id].other(node)
-            if other in state.effective_monitors:
+            if other in state.chains:
                 if other not in paths and other != start:
                     paths[other] = path + (edge_id,)
                 continue
@@ -333,7 +312,7 @@ def reference_select(topology, state, target):
     edge = topology.edges[target]
     candidates = sorted(
         ((outer, center) for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a))
-         if outer in state.effective_monitors),
+         if outer in state.chains),
         key=lambda pair: natural_key(pair[0]),
     )
     if not candidates:
@@ -341,17 +320,17 @@ def reference_select(topology, state, target):
 
     def ranked(paths):
         return sorted(paths, key=lambda mon: (
-            len(paths[mon]) + len(monitor_chain(topology, state, mon)), natural_key(mon)))
+            len(paths[mon]) + len(state.chains[mon]), natural_key(mon)))
 
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
-        target_chain = monitor_chain(topology, state, outer)
+        target_chain = state.chains[outer]
         reserved = set(target_chain) | {target}
         first_paths = _reference_paths(topology, state, center, reserved)
         for monitor_a in ranked(first_paths):
             if monitor_a == outer:
                 continue
-            path_a, chain_a = first_paths[monitor_a], monitor_chain(topology, state, monitor_a)
+            path_a, chain_a = first_paths[monitor_a], state.chains[monitor_a]
             used = reserved | set(path_a) | set(chain_a)
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
@@ -359,10 +338,10 @@ def reference_select(topology, state, target):
             for monitor_b in ranked(second_paths):
                 if monitor_b in (outer, monitor_a):
                     continue
-                path_b, chain_b = second_paths[monitor_b], monitor_chain(topology, state, monitor_b)
+                path_b, chain_b = second_paths[monitor_b], state.chains[monitor_b]
                 if len(used | set(path_b) | set(chain_b)) != len(used) + len(path_b) + len(chain_b):
                     continue
-                return BranchSelection(center, outer, target_chain, path_a, chain_a, path_b, chain_b)
+                return BranchSelection(center, target_chain, path_a, chain_a, path_b, chain_b)
         last_error = (
             f"merge node {center!r} cannot reach two distinct effective monitors "
             f"on edge-disjoint paths avoiding target {target!r}"
@@ -536,8 +515,7 @@ class TestSelectionMatchesReference:
                  Edge("E3", "D", "A", UNIFORM), Edge("E4", "C", "Z", UNIFORM)]
         topo = Topology(nodes, edges)
         state = EtchingState.initial(topo)
-        state.effective_monitors.add("B")
-        state.promoted_via["B"] = "Q"
+        state.chains["B"] = ("Q",)
         sel = select_mergecast_branches(topo, state, "T")
         assert (sel.path_a2, sel.path_b, sel.chain_b) == (("E4",), ("E2", "E3"), ())
         assert sel == reference_select(topo, state, "T")

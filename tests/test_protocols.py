@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qnt import network, oracle, protocols
 from qnt.experiments import ExperimentConfig, run_experiment
-from qnt.network import Edge, EtchingState, Topology, natural_key
+from qnt.network import Edge, Topology
 from qnt.pauli import ATOL, Dressing, PauliChannel, PauliVector1Q, compose_channels, dress_channel
 from qnt.protocols import (
     ALL_CYCLING_VARIANTS,
@@ -480,17 +480,9 @@ def reference_etch(topology, spam, samples, bases, rng_for):
     stream label.  Returns (estimates[edge][basis], steps)."""
     assert network.validate(topology, require_simplified=True) == []
     m_samples, n_samples = samples
-    state = EtchingState.initial(topology)
     estimates, steps = {}, {}
-    round_num = 0
-    while True:
-        frontier = sorted(network.peripheral_edges(topology, state), key=natural_key)
-        if not frontier:
-            return estimates, steps
-        round_num += 1
-        round_results, promotions = {}, []
-        for target in frontier:
-            selection = network.select_mergecast_branches(topology, state, target)
+    for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
+        for target, selection in selections:
             edges = topology.edges
             chain_true = [edges[e].channel for e in selection.target_chain]
             target_true = compose_channels([*chain_true, edges[target].channel])
@@ -505,21 +497,13 @@ def reference_etch(topology, spam, samples, bases, rng_for):
                 ratio = estimate_q_mergecast(merge_out, uni_out)
                 correction = spam.s
                 for chain_edge in selection.target_chain:
-                    correction *= state.identified[chain_edge][basis]
+                    correction *= estimates[chain_edge][basis]
                 if abs(correction) < 1e-9:
                     raise EstimationError(f"edge {target!r}, basis {basis}: chain correction {correction}")
                 per_basis[basis] = ratio / correction
-            round_results[target] = per_basis
-            if selection.merge_node not in state.effective_monitors:
-                promotions.append((selection.merge_node, target))
-        for target, per_basis in round_results.items():
-            state.identified[target] = per_basis
             estimates[target] = per_basis
             steps[target] = round_num
-        for node, via_edge in promotions:
-            if node not in state.effective_monitors:
-                state.effective_monitors.add(node)
-                state.promoted_via[node] = via_edge
+    return estimates, steps
 
 
 def shared_streams(seed):
