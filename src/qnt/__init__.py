@@ -40,6 +40,7 @@ from .protocols import (
     estimate_m,
     estimate_q_mergecast,
     estimate_s,
+    merge_and_unicast_probs,
     mergecast_prob,
     run_progressive_etching,
     sample_protocol,

@@ -133,7 +133,8 @@ class ExperimentConfig:
     def topology(self) -> network.Topology:
         """The simplified etch topology (the bundled ``fig1`` without a path), read once.
 
-        A file that cannot be read, parsed, simplified or etched raises ``ValueError``.
+        A file that cannot be read, parsed, simplified or etched, or whose simplified
+        edges include a zero q_Z, raises ``ValueError``.
         """
         where = self.topology_path or "fig1"
         try:
@@ -149,6 +150,9 @@ class ExperimentConfig:
         problems = network.validate(simplified, require_simplified=True)
         if problems:
             raise ValueError(f"topology {where} cannot be etched: " + "; ".join(map(str, problems)))
+        for edge_id in simplified.sorted_edge_ids():
+            if simplified.edges[edge_id].channel.q_z == 0:  # run_etch estimates q_Z by dividing by it
+                raise ValueError(f"topology {where}: edge {edge_id!r} has q_Z = 0, which etching cannot estimate")
         return simplified
 
     @property
@@ -258,13 +262,14 @@ def run_star(cfg: ExperimentConfig, spam_grid: Optional[Sequence[SpamModel]] = N
     ch1, ch2, ch3 = _channels(cfg)
     rows = []
     for spam in spam_grid or [cfg.spam]:
+        p_num, p_uni = protocols.merge_and_unicast_probs([ch1], [ch2], [ch3], spam)
         rows += _ratio_rows(
             cfg,
             spam,
             f"star|{spam.s}|{spam.m}",
             numerator="merge",
-            p_num=protocols.mergecast_prob(ch1, [ch2], [ch3], spam),
-            p_uni=protocols.unicast_prob([ch2, ch3], spam),
+            p_num=p_num,
+            p_uni=p_uni,
             estimator=protocols.estimate_q_mergecast,
             divisor=spam.s,
             truth=ch1.q_z,
@@ -285,13 +290,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
 def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
     path = _channels(cfg)
     spam = cfg.spam
+    p_num, p_uni = protocols.merge_and_unicast_probs([], [], path, spam)  # the s protocol over path
     return _ratio_rows(
         cfg,
         spam,
         "spam-s",
         numerator="root",
-        p_num=protocols.spam_s_protocol_prob(path, spam),
-        p_uni=protocols.unicast_prob(path, spam),
+        p_num=p_num,
+        p_uni=p_uni,
         estimator=protocols.estimate_s,
         divisor=1.0,
         truth=spam.s,

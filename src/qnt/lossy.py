@@ -129,19 +129,19 @@ class LossExperimentResult:
 
 def _merge_outcome_prob(
     channels: tuple[PauliChannel, PauliChannel, PauliChannel],
-    waits: tuple[float, float],
+    waits: np.ndarray,
     memory: MemoryParams,
     spam: SpamModel,
-) -> float:
-    """P(outcome 0) for one merge with given per-root storage waits."""
+) -> np.ndarray:
+    """P(outcome 0) per merge, from one merge step over the rows of ``waits``: the
+    per-root storage waits ``(wait_0, wait_1)`` of each merge (one pair is one row)."""
     ch1, ch2, ch3 = channels
-    qubit1 = apply_channel(ch1, spam.prepared_state())
-    qubit2 = apply_channel(ch2, spam.prepared_state())
-    if waits[0] > 0:
-        qubit1 = decohere(qubit1, waits[0], memory)
-    if waits[1] > 0:
-        qubit2 = decohere(qubit2, waits[1], memory)
-    return _merge_prob(qubit1, qubit2, [ch3], spam.m)
+    fresh = (apply_channel(ch1, spam.prepared_state()), apply_channel(ch2, spam.prepared_state()))
+    stored = np.array([
+        [(decohere(qubit, wait, memory) if wait > 0 else qubit).coeffs for qubit, wait in zip(fresh, pair)]
+        for pair in np.reshape(waits, (-1, 2)).tolist()
+    ]).reshape(-1, 2, 4)
+    return _merge_prob(stored[:, 0], stored[:, 1], np.array([[(1.0, *ch3.q)]]), spam.m)
 
 
 def run_loss_experiment(
@@ -160,8 +160,8 @@ def run_loss_experiment(
     TIME_EPS``), computed once.  Randomness is split into three substreams
     (arrivals, relay-fiber loss, measurement outcomes) that are consumed
     independently of the cutoff, so for all cutoffs below the send interval
-    the counts coincide exactly.  The state pipeline runs once per distinct
-    received gap.
+    the counts coincide exactly.  One batched call of the state pipeline
+    computes the outcome probability of every distinct received gap.
     """
     p_s = survival_prob(fiber)
     dt = schedule.send_interval_s
@@ -199,8 +199,8 @@ def run_loss_experiment(
     received = np.array(gaps, dtype=np.int64)[relayed]
     outcomes = substream(seed, "loss-outcomes", 0).random(received.size)
     distinct, inverse = np.unique(received, return_inverse=True)
-    probs = np.array([_merge_outcome_prob(channels, (max(g, 0) * dt, max(-g, 0) * dt), memory, spam)
-                      for g in distinct.tolist()])
+    waits = np.column_stack((np.maximum(distinct, 0) * dt, np.maximum(-distinct, 0) * dt))
+    probs = _merge_outcome_prob(channels, waits, memory, spam)
     zeros = int(np.count_nonzero(outcomes < probs[inverse]))
     n_received = received.size
 

@@ -375,7 +375,7 @@ def joint_z_measurement_probs(
     probs = []
     for a in (0, 1):
         for b in (0, 1):
-            probs.append(float(np.kron(effects[a], effects[b]) @ state.coeffs) / 4.0)
+            probs.append(float(np.outer(effects[a], effects[b]).ravel() @ state.coeffs) / 4.0)
     for p in probs:
         if not -ATOL <= p <= 1.0 + ATOL:
             raise NonPhysicalStateError(f"outcome probability {p} outside [0, 1]")

@@ -5,7 +5,10 @@ progressive-etching driver.
 Every probability here is computed by running the actual state pipeline
 (preparation, channels, CNOT merge, partial trace, measurement) in the
 Pauli-Liouville representation, never by a closed-form shortcut; the
-closed forms quoted in the tests serve as independent pins.
+closed forms quoted in the tests serve as independent pins.  The unicast,
+merge and mergecast pipelines run on rows: ``(k, 4)`` states, sent through
+``(k, L, 4)`` PTM diagonals padded with rows of ones, so that one call
+computes a whole etching round.
 
 Conventions:
 
@@ -14,14 +17,15 @@ Conventions:
   for outcome 0, so a bare prepare-and-measure sees ``(1 + ms)/2``.
 * ``basis`` selects which Pauli parameter is estimated.  Estimating q_X or
   q_Y reuses the Z-basis machinery by dressing every channel on the wire
-  (diag permutation), which is the same arithmetic as preparing and
-  measuring in the rotated basis.
+  (diag permutation, so a column order of the diagonals), which is the same
+  arithmetic as preparing and measuring in the rotated basis.
 * In the merge step the target-side qubit is the CNOT control and is the
   one discarded; the relayed qubit is the target.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -31,27 +35,26 @@ import numpy as np
 from . import network
 from .network import Topology
 from .pauli import (
-    Dressing,
+    _CNOT_GATHER_FIRST,
+    _Q_MAX,
+    ATOL,
+    NonPhysicalStateError,
     PauliChannel,
     PauliVector1Q,
     apply_channel,
     apply_cnot,
     bypass_dressing,
-    compose_channels,
     dress_channel,
     joint_z_measurement_probs,
-    partial_trace,
     tensor,
 )
 from .stats import substream
 
 DEGENERATE_DENOMINATOR_TOL = 1e-9
 
-BASIS_DRESSINGS = {
-    "Z": Dressing.NONE,
-    "X": Dressing.HADAMARD,
-    "Y": Dressing.HADAMARD_PHASE,
-}
+# The columns of a diagonal (1, q_X, q_Y, q_Z) in the order that the basis's
+# dressing puts them (see pauli.dress_channel), so the estimated one is last.
+_BASIS_COLUMNS = {"Z": slice(None), "X": [0, 3, 2, 1], "Y": [0, 3, 1, 2]}
 
 
 class ProtocolError(ValueError):
@@ -118,32 +121,126 @@ class ChannelEstimate:
     q_z: Union[float, np.ndarray]
 
 
-def _dressed(channels: Iterable[PauliChannel], basis: str, context: str) -> list[PauliChannel]:
-    """``channels`` dressed for ``basis``; a zero parameter there cannot be characterized."""
-    dressing = BASIS_DRESSINGS[basis]
-    dressed = [dress_channel(ch, dressing) for ch in channels]
-    if any(ch.q_z == 0.0 for ch in dressed):
-        raise ProtocolError(f"{context}: channel with zero {basis} parameter cannot be characterized")
-    return dressed
+def _diagonals(channels: Iterable[PauliChannel]) -> np.ndarray:
+    """A row (1, q_X, q_Y, q_Z) per channel, then the row of ones that pads index paths."""
+    return np.array([*((1.0, *ch.q) for ch in channels), (1.0, 1.0, 1.0, 1.0)])
 
 
-def _send(state: PauliVector1Q, channels: Iterable[PauliChannel]) -> PauliVector1Q:
-    for ch in channels:
-        state = apply_channel(ch, state)
-    return state
+def _index_paths(paths: Sequence[Sequence[str]], index: dict) -> np.ndarray:
+    """The table rows ``index[e]`` of the edges of each path, one path per row, padded at
+    its end with the pad row ``len(index)``."""
+    rows = np.full((len(paths), max(map(len, paths))), len(index))
+    for row, path in zip(rows, paths):
+        row[:len(path)] = [index[e] for e in path]
+    return rows
 
 
-def _prob_zero(state: PauliVector1Q, m: float) -> float:
-    return (1.0 + m * state.z) / 2.0
+def _physical(states: np.ndarray) -> None:
+    """Raise unless every row of ``states`` passes the checks that ``PauliVector1Q`` makes of one."""
+    if (np.abs(states[:, 0] - 1.0) > ATOL).any():
+        raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {states[:, 0]}")
+    r2 = (states * states) @ _BLOCH_SQUARES
+    if (r2 > 1.0 + ATOL).any():
+        raise NonPhysicalStateError(f"Bloch vector norm^2 = {r2.max()} exceeds 1")
 
 
-def _merge_prob(
-    control: PauliVector1Q, target: PauliVector1Q, relay: Iterable[PauliChannel], m: float
-) -> float:
-    """P(outcome 0) after the merge step: CNOT from ``control`` onto ``target``,
-    discard the control, send the target down ``relay`` and measure it."""
-    pair = apply_cnot(tensor(control, target), control="first")
-    return _prob_zero(_send(partial_trace(pair, discard="first"), relay), m)
+def _send(states: np.ndarray, channels: np.ndarray, visited: list) -> np.ndarray:
+    """Row j of ``states`` sent through the diagonals ``channels[j]`` in path order; each
+    state it passes through is appended to ``visited``, to be checked in one go."""
+    for step in range(channels.shape[1]):
+        states = states * channels[:, step]
+        visited.append(states)
+    return states
+
+
+def _prob_zero(states: np.ndarray, m: float) -> np.ndarray:
+    return (1.0 + m * states[..., 3]) / 2.0
+
+
+def _merge_prob(control: np.ndarray, target: np.ndarray, relay: np.ndarray, m: float,
+                visited: Optional[list] = None) -> np.ndarray:
+    """P(outcome 0) per row after the merge step: CNOT from ``control`` onto ``target``,
+    discard the control, send the target down ``relay`` (diagonals) and measure it.
+    The states it passes through go to ``visited`` if given, else are checked here."""
+    source, sign = _CNOT_GATHER_FIRST
+    pair = sign * (control[:, :, None] * target[:, None, :]).reshape(-1, 16)[:, source]
+    states = [pair[:, :4]]  # the partial trace keeps the I (x) Q coefficients
+    relayed = _send(states[0], relay, states)
+    if visited is None:
+        _physical(np.concatenate(states))
+    else:
+        visited += states
+    return _prob_zero(relayed, m)
+
+
+_BLOCH_SQUARES = np.array([0.0, 1.0, 1.0, 1.0])  # squared coefficients @ this = Bloch norm^2
+# (1, q_X, q_Y, q_Z) @ _KRAUS_SIGNS is 4 (p_I, p_X, p_Y, p_Z), as in PauliChannel.probabilities.
+_KRAUS_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                         [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]).T
+
+
+def _pipeline(table: np.ndarray, paths: tuple, spam: SpamModel, basis: str,
+              context: str = "mergecast", labels: Optional[Sequence[str]] = None) -> tuple[np.ndarray, ...]:
+    """``(p_merge, p_uni)`` of each row of the ``paths`` (target, a2, b) into ``table``.
+
+    ``table`` holds channel diagonals and the pad; each path is an index into it, such as
+    a ``(k, L)`` array padded at its end, giving ``(k, L, 4)`` diagonals.  Row j's merge
+    protocol sends one prepared qubit through ``target[j]``, composed into one channel
+    from 1.0 in path order as :func:`pauli.compose_channels` does, and the other through
+    ``a2[j]``; the merged qubit crosses ``b[j]``.  Its unicast sends one qubit through
+    ``a2[j]``, then ``b[j]``.  No path is empty, and a pad multiplies by 1.0, which
+    changes no bit.  A composite of two or more channels is checked as ``PauliChannel``
+    checks one.  A zero parameter in ``basis`` raises for the first such row, naming
+    ``labels[j]``; every state of the call is checked once, at its end.
+    """
+    dressed = table[:, _BASIS_COLUMNS[basis]]
+    target, a2, b = dressed[paths[0]], dressed[paths[1]], dressed[paths[2]]
+    composite = target[:, 0]  # 1.0 times the first factor, exactly
+    for step in range(1, target.shape[1]):
+        composite = composite * target[:, step]
+    zero = (dressed[:, 3] == 0.0).any()
+    if target.shape[1] > 1:
+        if np.abs(composite).max() > _Q_MAX or (composite @ _KRAUS_SIGNS).min() < -4.0 * ATOL:
+            for row in composite:  # the constructor decides, and names what failed
+                PauliChannel(*row[1:].tolist())
+        zero = zero or (composite[:, 3] == 0.0).any()
+    if zero:
+        rows = (composite[:, 3] == 0.0) | (a2[..., 3] == 0.0).any(axis=1) | (b[..., 3] == 0.0).any(axis=1)
+        if rows.any():
+            where = f"edge {labels[rows.argmax()]!r}, basis {basis}: " if labels else ""
+            raise ProtocolError(f"{where}{context}: channel with zero {basis} parameter cannot be characterized")
+    prepared = np.array([[1.0, 0.0, 0.0, spam.s]])  # broadcast over the rows
+    visited = [prepared * composite]
+    merged = _send(prepared, a2, visited)
+    p_merge = _merge_prob(visited[0], merged, b, spam.m, visited)
+    p_uni = _prob_zero(_send(merged, b, visited), spam.m)
+    _physical(np.concatenate(visited))
+    return p_merge, p_uni
+
+
+def _one_row(target_path: Sequence[PauliChannel], branch_a2: Sequence[PauliChannel],
+             branch_b: Sequence[PauliChannel], spam: SpamModel, basis: str, context: str) -> tuple[float, float]:
+    """:func:`_pipeline` on one row, ``(p_merge, p_uni)`` as floats; an empty path is the pad."""
+    channels = [*target_path, *branch_a2, *branch_b]
+    bounds = (0, len(target_path), len(target_path) + len(branch_a2), len(channels))
+    paths = tuple(np.s_[None, lo:hi] if hi > lo else np.s_[None, -1:] for lo, hi in zip(bounds, bounds[1:]))
+    p_merge, p_uni = _pipeline(_diagonals(channels), paths, spam, basis, context)
+    return float(p_merge[0]), float(p_uni[0])
+
+
+def merge_and_unicast_probs(target_path: Sequence[PauliChannel], branch_a2: Sequence[PauliChannel],
+                            branch_b: Sequence[PauliChannel], spam: SpamModel = PERFECT_SPAM,
+                            basis: str = "Z") -> tuple[float, float]:
+    """P(outcome 0) of the merge protocol and of its unicast reference, from one run of the pipeline.
+
+    The control qubit crosses ``target_path`` composed into one channel, the target
+    qubit ``branch_a2``, the merged qubit ``branch_b``; the unicast qubit crosses
+    ``branch_a2``, then ``branch_b``.  An empty path leaves its qubit as prepared, so
+    ``([], [], path)`` gives the preparation-error protocol over ``path`` and its unicast.
+    """
+    if not branch_b:
+        raise ProtocolError("the measured branch must be nonempty")
+    return _one_row(target_path, branch_a2, branch_b, spam, basis, "mergecast")
 
 
 def unicast_prob(
@@ -155,8 +252,7 @@ def unicast_prob(
     """
     if not path:
         raise ProtocolError("unicast path must be nonempty")
-    state = _send(spam.prepared_state(), _dressed(path, basis, "unicast"))
-    return _prob_zero(state, spam.m)
+    return _one_row((), (), path, spam, basis, "unicast")[1]
 
 
 def mergecast_prob(
@@ -176,16 +272,18 @@ def mergecast_prob(
     """
     if not branch_a2 or not branch_b:
         raise ProtocolError("mergecast branches must be nonempty")
-    dressed = _dressed([target, *branch_a2, *branch_b], basis, "mergecast")
-    split = 1 + len(branch_a2)
-    control = apply_channel(dressed[0], spam.prepared_state())
-    merged = _send(spam.prepared_state(), dressed[1:split])
-    return _merge_prob(control, merged, dressed[split:], spam.m)
+    return _one_row((target,), branch_a2, branch_b, spam, basis, "mergecast")[0]
+
+
+def _send_qubit(state: PauliVector1Q, channels: Iterable[PauliChannel]) -> PauliVector1Q:
+    for ch in channels:
+        state = apply_channel(ch, state)
+    return state
 
 
 def _bypassed_send(channels: Sequence[PauliChannel], spam: SpamModel) -> PauliVector1Q:
     """A prepared qubit sent through ``channels``, each dressed to pass Z unchanged."""
-    return _send(spam.prepared_state(), (dress_channel(ch, bypass_dressing(ch)) for ch in channels))
+    return _send_qubit(spam.prepared_state(), (dress_channel(ch, bypass_dressing(ch)) for ch in channels))
 
 
 def bypass_unicast_prob(
@@ -200,7 +298,7 @@ def bypass_unicast_prob(
     unchanged and only the target attenuates: p = (1 + m s q_Z,target)/2.
     Raises for non-bypassable channels in ``bypassed``.
     """
-    return _prob_zero(apply_channel(target, _bypassed_send(bypassed, spam)), spam.m)
+    return float(_prob_zero(apply_channel(target, _bypassed_send(bypassed, spam)).coeffs, spam.m))
 
 
 def spam_s_protocol_prob(path: Sequence[PauliChannel], spam: SpamModel) -> float:
@@ -212,7 +310,7 @@ def spam_s_protocol_prob(path: Sequence[PauliChannel], spam: SpamModel) -> float
     """
     if not path:
         raise ProtocolError("path must be nonempty")
-    return _merge_prob(spam.prepared_state(), spam.prepared_state(), path, spam.m)
+    return _one_row((), (), path, spam, "Z", "spam-s protocol")[0]
 
 
 def spam_m_protocol_probs(
@@ -229,8 +327,8 @@ def spam_m_protocol_probs(
     """
     if not path_a or not path_b:
         raise ProtocolError("both paths must be nonempty")
-    qubit_a = _send(spam.prepared_state(), path_a)
-    qubit_b = _send(spam.prepared_state(), path_b)
+    qubit_a = _send_qubit(spam.prepared_state(), path_a)
+    qubit_b = _send_qubit(spam.prepared_state(), path_b)
     pair = apply_cnot(tensor(qubit_b, qubit_a), control="first")
     p00, p01, p10, p11 = joint_z_measurement_probs(pair, m=spam.m)
     return (p00, p01, p10, p11, p00 + p11)
@@ -242,7 +340,7 @@ def spam_ms_bypass_prob(bypassed_path: Sequence[PauliChannel], spam: SpamModel) 
     Requires every channel on the path to be bypassable; the result is then
     independent of their flip probabilities.
     """
-    return _prob_zero(_bypassed_send(bypassed_path, spam), spam.m)
+    return float(_prob_zero(_bypassed_send(bypassed_path, spam).coeffs, spam.m))
 
 
 def sample_protocol(
@@ -362,9 +460,12 @@ def run_progressive_etching(
     *estimated* chain product (from earlier rounds) propagates earlier errors
     exactly as a real deployment would.
 
-    Per round and basis, one :func:`sample_ratio` call draws every frontier target
-    (column j is target j) from ``etch|{round}|{basis}|merge``/``|uni``; a degenerate
-    denominator, then chain correction, raises naming its first edge in frontier order.
+    Per round and basis, one state-pipeline call computes the probabilities of every
+    frontier target, and one :func:`sample_ratio` call draws them (column j is target j)
+    from ``etch|{round}|{basis}|merge``/``|uni``.  A zero parameter raises
+    ``ProtocolError``, and a degenerate denominator, then chain correction,
+    ``EstimationError``; each names its first edge in frontier order, within the first
+    such basis of ``bases``.
     ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k
     is the k-th of successive scalar sweeps on the same streams, each divided by its own
     chain correction.
@@ -375,22 +476,16 @@ def run_progressive_etching(
     unmeasured = math.nan if trials is None else np.full(trials, math.nan)
     identified = {}  # edge -> per-basis estimates, for the chain corrections
     run = EtchingRun()
-    edges = topology.edges
+    index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
+    table = _diagonals(edge.channel for edge in topology.edges.values())
 
     for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
         frontier = [target for target, _ in selections]
-        probs = {basis: ([], []) for basis in bases}  # basis -> (p_merge, p_uni) per target
-        chains = []
-
-        for target, selection in selections:
-            chain_true = [edges[e].channel for e in selection.target_chain]
-            target_true = compose_channels([*chain_true, edges[target].channel])
-            a2_true = [edges[e].channel for e in selection.full_a2]
-            b_true = [edges[e].channel for e in selection.full_b]
-            for basis, (p_merge, p_uni) in probs.items():
-                p_merge.append(mergecast_prob(target_true, a2_true, b_true, spam, basis))
-                p_uni.append(unicast_prob([*a2_true, *b_true], spam, basis))
-            chains.append([identified[e] for e in selection.target_chain])
+        routes = [((*selection.target_chain, target), selection.full_a2, selection.full_b)
+                  for target, selection in selections]
+        paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
+        probs = {basis: _pipeline(table, paths, spam, basis, labels=frontier) for basis in bases}
+        chains = [[identified[e] for e in selection.target_chain] for _, selection in selections]
 
         round_results = {target: {} for target in frontier}
         for basis, (p_merge, p_uni) in probs.items():

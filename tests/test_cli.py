@@ -214,8 +214,13 @@ class TestArgParsing:
                 "edge E4 M1 M2 0.8 0.8 0.8\n",
                 "cannot be etched: [monitor-degree] M1",
             ),
+            (
+                "node H internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge P1 H M1 0.5 0.5 0.0\nedge P2 H M2 0.8 0.8 0.8\nedge P3 H M3 0.8 0.8 0.8\n",
+                "edge 'P1' has q_Z = 0, which etching cannot estimate",
+            ),
         ],
-        ids=["missing", "parse", "degree-2-cycle", "not-etchable"],
+        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.topo"

@@ -1,6 +1,7 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -289,22 +290,25 @@ class TestMatchesSlotReference:
         assert (one_slot.merged_count, one_slot.received_count) == (1, 1)
 
     @pytest.mark.parametrize("t_send, cutoff", [(0.5, 0.35), (0.5, 5.0), (0.1, 10.0)])
-    def test_pipeline_runs_once_per_received_wait_pair(self, t_send, cutoff, monkeypatch):
-        calls = []
-        real = lossy._merge_outcome_prob
+    def test_one_merge_call_per_trial_with_a_row_per_distinct_received_gap(self, t_send, cutoff, monkeypatch):
+        calls = []  # per merge-step call, its rows of (control, target) states
+        real = lossy._merge_prob
 
-        def recording(channels, waits, memory, spam):
-            calls.append(waits)
-            return real(channels, waits, memory, spam)
+        def recording(control, target, relay, m):
+            calls.append([row.tobytes() for row in np.concatenate((control, target), axis=1)])
+            return real(control, target, relay, m)
 
-        monkeypatch.setattr(lossy, "_merge_outcome_prob", recording)
+        monkeypatch.setattr(lossy, "_merge_prob", recording)
         args = (STAR, REFERENCE_FIBER, memory(cutoff), Schedule(t_send, 300.0))
-        reference_loss(*args, seed=5)  # one call per received merge
-        per_merge = list(calls)
+        reference_loss(*args, seed=5)  # one one-row call per received merge
+        per_merge = [row for call in calls for row in call]
+        assert all(len(call) == 1 for call in calls)
         calls.clear()
         run_loss_experiment(*args, seed=5)
-        assert len(calls) == len(set(calls))
-        assert set(calls) == set(per_merge)
-        assert len(calls) < len(per_merge)
+        assert len(calls) == 1
+        (rows,) = calls
+        assert len(rows) == len(set(rows))
+        assert set(rows) == set(per_merge)
+        assert len(rows) < len(per_merge)
         if cutoff < t_send:  # every merge is wait-free
-            assert calls == [(0.0, 0.0)]
+            assert len(rows) == 1

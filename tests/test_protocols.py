@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,21 @@ from numpy.testing import assert_allclose
 from qnt import network, oracle, protocols
 from qnt.experiments import ExperimentConfig, run_experiment
 from qnt.network import Edge, Topology
-from qnt.pauli import ATOL, Dressing, PauliChannel, PauliVector1Q, compose_channels, dress_channel
+from qnt.network import BranchSelectionError
+from qnt.pauli import (
+    ATOL,
+    ChannelValidationError,
+    Dressing,
+    NonPhysicalStateError,
+    PauliChannel,
+    PauliVector1Q,
+    apply_channel,
+    apply_cnot,
+    compose_channels,
+    dress_channel,
+    partial_trace,
+    tensor,
+)
 from qnt.protocols import (
     ALL_CYCLING_VARIANTS,
     CyclingVariant,
@@ -23,6 +38,7 @@ from qnt.protocols import (
     estimate_m,
     estimate_q_mergecast,
     estimate_s,
+    merge_and_unicast_probs,
     mergecast_prob,
     phase_cycling_compile,
     run_progressive_etching,
@@ -35,8 +51,8 @@ from qnt.protocols import (
 from qnt.stats import aggregate_mse, substream
 from qnt.topo_io import bundled_topology
 
-from conftest import random_channel
-from test_network import random_tree
+from conftest import random_channel, random_state
+from test_network import random_mesh, random_tree
 
 STAR = (
     PauliChannel(0.5, 0.5, 0.5),
@@ -714,3 +730,225 @@ class TestRoundKeyedStreams:
                     assert value.dtype == np.float64
                 np.testing.assert_array_equal(value, field_values(as_float.estimates[edge_id])[basis])
                 assert np.all(np.abs(np.asarray(value) - 0.8) < 0.1)
+
+
+# ---------------------------------------------------------------------------
+# The row pipeline, bit for bit against the per-object pipeline it replaced
+# ---------------------------------------------------------------------------
+
+REFERENCE_DRESSINGS = {"Z": Dressing.NONE, "X": Dressing.HADAMARD, "Y": Dressing.HADAMARD_PHASE}
+
+
+def reference_send(state, channels):
+    for ch in channels:
+        state = apply_channel(ch, state)
+    return state
+
+
+def reference_dressed(channels, basis, context):
+    dressed = [dress_channel(ch, REFERENCE_DRESSINGS[basis]) for ch in channels]
+    if any(ch.q_z == 0.0 for ch in dressed):
+        raise ProtocolError(f"{context}: channel with zero {basis} parameter cannot be characterized")
+    return dressed
+
+
+def reference_merge_prob(control, target, relay, m):
+    """The merge step on one pair of ``PauliVector1Q`` states and a list of channels."""
+    pair = apply_cnot(tensor(control, target), control="first")
+    return (1.0 + m * reference_send(partial_trace(pair, discard="first"), relay).z) / 2.0
+
+
+def reference_unicast_prob(path, spam, basis):
+    state = reference_send(spam.prepared_state(), reference_dressed(path, basis, "unicast"))
+    return (1.0 + spam.m * state.z) / 2.0
+
+
+def reference_mergecast_prob(target, branch_a2, branch_b, spam, basis):
+    dressed = reference_dressed([target, *branch_a2, *branch_b], basis, "mergecast")
+    split = 1 + len(branch_a2)
+    control = apply_channel(dressed[0], spam.prepared_state())
+    merged = reference_send(spam.prepared_state(), dressed[1:split])
+    return reference_merge_prob(control, merged, dressed[split:], spam.m)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def near_pauli_channel(rng) -> PauliChannel:
+    """A random channel close to one Pauli, so every q is near +1 or -1: long products stay
+    far from zero, where 1 + m z would round a last-bit difference away."""
+    p = rng.uniform(0.0, 0.02, 4)
+    dominant = rng.integers(4)
+    p[dominant] = 1.0 - (p.sum() - p[dominant])
+    return PauliChannel.from_probabilities(*p[1:])
+
+
+class TestRowPipelineMatchesObjectPipeline:
+    def test_300_seeded_cases_bit_for_bit(self):
+        rng = np.random.default_rng(1303)
+        negative = 0
+        for case in range(300):
+            make = near_pauli_channel if case % 2 else functools.partial(random_channel, nonzero=True)
+            chain, branch_a2, branch_b = ([make(rng) for _ in range(rng.integers(1, 13))] for _ in range(3))
+            spam = SpamModel(rng.random(), rng.random())
+            negative += any(q < 0 for ch in chain for q in ch.q)
+            for basis in ("Z", "X", "Y"):
+                got = mergecast_prob(chain[0], branch_a2, branch_b, spam, basis)
+                assert bits(got) == bits(reference_mergecast_prob(chain[0], branch_a2, branch_b, spam, basis))
+                want_uni = reference_unicast_prob(branch_a2 + branch_b, spam, basis)
+                assert bits(unicast_prob(branch_a2 + branch_b, spam, basis)) == bits(want_uni)
+                # the kernel composes the whole target path, as compose_channels does
+                p_merge, p_uni = protocols._one_row(chain, branch_a2, branch_b, spam, basis, "mergecast")
+                want = reference_mergecast_prob(compose_channels(chain), branch_a2, branch_b, spam, basis)
+                assert (bits(p_merge), bits(p_uni)) == (bits(want), bits(want_uni))
+            prepared = spam.prepared_state()
+            want = reference_merge_prob(prepared, prepared, branch_b, spam.m)
+            assert bits(spam_s_protocol_prob(branch_b, spam)) == bits(want)
+            control, target = random_state(rng), random_state(rng)
+            relay = protocols._diagonals(branch_b)[None, :-1]
+            got = protocols._merge_prob(control.coeffs[None], target.coeffs[None], relay, spam.m)
+            assert got.shape == (1,) and bits(got[0]) == bits(reference_merge_prob(control, target, branch_b, spam.m))
+        assert negative > 200  # negative q values are covered
+
+    def test_one_row_callers_return_floats(self):
+        spam = SpamModel(0.9, 0.8)
+        for value in (mergecast_prob(*STAR[:1], [STAR[1]], [STAR[2]], spam), unicast_prob(STAR, spam),
+                      spam_s_protocol_prob(STAR, spam), *merge_and_unicast_probs([STAR[0]], [], STAR[1:], spam)):
+            assert type(value) is float
+
+    def test_merge_and_unicast_probs_is_one_row_of_both(self, rng):
+        for _ in range(50):
+            target, branch_a2, branch_b = ([random_channel(rng, nonzero=True) for _ in range(rng.integers(1, 5))]
+                                           for _ in range(3))
+            spam = SpamModel(rng.random(), rng.random())
+            for basis in ("Z", "X", "Y"):
+                got = merge_and_unicast_probs(target[:1], branch_a2, branch_b, spam, basis)
+                want = (mergecast_prob(target[0], branch_a2, branch_b, spam, basis),
+                        unicast_prob(branch_a2 + branch_b, spam, basis))
+                assert list(map(bits, got)) == list(map(bits, want))
+            # with nothing before the merge it is the s protocol and its unicast
+            got = merge_and_unicast_probs([], [], branch_b, spam)
+            want = (spam_s_protocol_prob(branch_b, spam), unicast_prob(branch_b, spam))
+            assert list(map(bits, got)) == list(map(bits, want))
+        with pytest.raises(ProtocolError, match="measured branch must be nonempty"):
+            merge_and_unicast_probs(STAR, STAR, [])
+
+
+def recorded_pipeline_calls(monkeypatch, topology, spam, bases):
+    """Each state-pipeline call of one etching sweep as (basis, p_merge, p_uni)."""
+    calls = []
+    real = protocols._pipeline
+
+    def recording(table, paths, spam, basis, *args, **kwargs):
+        out = real(table, paths, spam, basis, *args, **kwargs)
+        calls.append((basis, *out))
+        return out
+
+    monkeypatch.setattr(protocols, "_pipeline", recording)
+    # samples so large that no sampled estimate degenerates, even on small products
+    run_progressive_etching(topology, spam, (10**9, 10**9), seed=17, bases=bases)
+    return calls
+
+
+def assert_rounds_match_per_target_reference(calls, topology, spam, bases):
+    """One call per round and basis, whose rows are the per-target object pipeline, bit for bit."""
+    edges = topology.edges
+    calls = iter(calls)
+    for selections in network.etching_rounds(topology):
+        for basis in bases:
+            got_basis, p_merge, p_uni = next(calls)
+            assert got_basis == basis
+            want_merge, want_uni = [], []
+            for target, selection in selections:
+                chain = [edges[e].channel for e in (*selection.target_chain, target)]
+                branch_a2 = [edges[e].channel for e in selection.full_a2]
+                branch_b = [edges[e].channel for e in selection.full_b]
+                want_merge.append(reference_mergecast_prob(compose_channels(chain), branch_a2, branch_b, spam, basis))
+                want_uni.append(reference_unicast_prob(branch_a2 + branch_b, spam, basis))
+            assert p_merge.tobytes() == np.array(want_merge).tobytes()
+            assert p_uni.tobytes() == np.array(want_uni).tobytes()
+    assert next(calls, None) is None
+
+
+def random_channel_mesh(seed: int) -> Topology:
+    """A seeded mesh whose channels are random general Pauli channels, many with negative q."""
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh(seed, 6 + seed % 15, 1 + seed % 5)
+    edges = [Edge(e.edge_id, e.node_a, e.node_b, random_channel(rng, nonzero=True, min_q=0.5))
+             for e in mesh.edges.values()]
+    return Topology(dict(mesh.nodes), edges)
+
+
+class TestRoundKernelMatchesPerTargetReference:
+    @pytest.mark.parametrize("make, bases", [c[1:] for c in ETCH_CASES], ids=[c[0] for c in ETCH_CASES])
+    def test_etch_cases(self, monkeypatch, make, bases):
+        topology = make()
+        calls = recorded_pipeline_calls(monkeypatch, topology, ETCH_SPAM, bases)
+        assert_rounds_match_per_target_reference(calls, topology, ETCH_SPAM, bases)
+
+    def test_seeded_meshes_that_etch(self, monkeypatch):
+        etched = 0
+        for seed in range(40):
+            topology = random_channel_mesh(seed)
+            try:
+                calls = recorded_pipeline_calls(monkeypatch, topology, ETCH_SPAM, ("Z", "X", "Y"))
+            except BranchSelectionError:
+                continue
+            assert_rounds_match_per_target_reference(calls, topology, ETCH_SPAM, ("Z", "X", "Y"))
+            etched += 1
+        assert etched >= 25
+
+
+def kernel(rows, target, branch_a2, branch_b, spam=SpamModel(1.0, 1.0)):
+    """The round kernel on the diagonal ``rows`` (padded with ones) and lists of index paths."""
+    table = np.array([*rows, (1.0, 1.0, 1.0, 1.0)])
+    return protocols._pipeline(table, tuple(map(np.array, (target, branch_a2, branch_b))), spam, "Z")
+
+
+GOOD_ROW = (1.0, 0.9, 0.8, 0.7)
+IDENTITY_ROW = (1.0, 1.0, 1.0, 1.0)
+
+
+class TestRoundKernelChecks:
+    def test_valid_rows_pass(self):
+        p_merge, p_uni = kernel([GOOD_ROW], [[0], [0]], [[0], [0]], [[0, 1], [0, 0]])
+        assert_allclose(p_merge, [(1 + 0.7**3) / 2, (1 + 0.7**4) / 2], atol=ATOL)
+        assert_allclose(p_uni, [(1 + 0.7**2) / 2, (1 + 0.7**3) / 2], atol=ATOL)
+
+    @pytest.mark.parametrize("bad_row", [(1.0, 1.0, 1.0, -1.0), (1.0, 1.5, 1.0, 1.0)],
+                             ids=["not-completely-positive", "out-of-range"])
+    def test_invalid_composed_channel(self, bad_row):
+        with pytest.raises(ChannelValidationError):
+            kernel([GOOD_ROW, bad_row], [[0, 2], [1, 0]], [[0], [0]], [[0], [0]])
+
+    @pytest.mark.parametrize("bad_row", [(1.0, 1.0, 1.0, 1.5), (2.0, 0.5, 0.5, 0.5)], ids=["bloch-norm", "x-i"])
+    def test_non_physical_intermediate_state(self, bad_row):
+        # the bad diagonal sits on a branch, where no channel check sees it
+        with pytest.raises(NonPhysicalStateError):
+            kernel([IDENTITY_ROW, bad_row], [[0]], [[0]], [[0, 1]])
+        with pytest.raises(NonPhysicalStateError):
+            kernel([IDENTITY_ROW, bad_row], [[0]], [[1]], [[0]])
+
+
+def with_channels(topology: Topology, **channels: PauliChannel) -> Topology:
+    edges = [Edge(e.edge_id, e.node_a, e.node_b, channels.get(e.edge_id, e.channel)) for e in topology.edges.values()]
+    return Topology(dict(topology.nodes), edges)
+
+
+class TestEtchingZeroParameter:
+    def test_names_the_edge_and_basis(self):
+        topology = with_channels(bundled_topology("star3"), P1=PauliChannel(0.0, 0.5, 0.5))
+        expected = r"^edge 'P1', basis X: mergecast: channel with zero X parameter cannot be characterized$"
+        with pytest.raises(ProtocolError, match=expected):
+            run_progressive_etching(topology, SpamModel(1, 1), (1000, 1000), seed=1, bases=("Z", "X"))
+
+    @pytest.mark.parametrize("bases, where", [(("Z", "X", "Y"), "'P17', basis X"), (("Y", "X"), "'P12', basis Y")])
+    def test_first_target_in_frontier_order_of_the_first_faulty_basis(self, bases, where):
+        # In round 1 of fig1, P9 lies on the branches of P17 and P18 and P3 on those of P12
+        # and P13, so the basis order decides which fault is reported.
+        topology = with_channels(
+            bundled_topology("fig1"), P9=PauliChannel(0.0, 0.5, 0.5), P3=PauliChannel(0.5, 0.0, 0.5)
+        )
+        with pytest.raises(ProtocolError, match=f"^edge {where}: mergecast: "):
+            run_progressive_etching(topology, SpamModel(1, 1), (1000, 1000), seed=1, bases=bases)
