@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from qnt import lossy, protocols, stats
@@ -21,6 +23,8 @@ from qnt.experiments import (
 )
 from qnt.pauli import PauliChannel
 from qnt.protocols import EstimationError, SpamModel
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -233,6 +237,18 @@ class TestArgParsing:
         assert "usage: qnt etch " in err and "qnt etch: error: " in err and message in err
         assert err.count(str(path)) == 1
 
+    def test_topology_problems_are_listed_in_natural_edge_order(self, capsys):
+        # the file lists E10 before E9, and nothing in it contracts
+        path = DATA_DIR / "self_loops.topo"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["etch", "--topology", str(path), "--trials", "1", "--m-samples", "1000"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"qnt etch: error: topology {path} cannot be etched: "
+            "[self-loop] E9: channel starts and ends at one node; "
+            "[self-loop] E10: channel starts and ends at one node\n"
+        )
+
     @pytest.mark.parametrize("name", ["star", "sweep", "spam-s", "spam-m", "etch", "loss"])
     def test_every_option_names_a_config_field(self, name):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -256,6 +272,32 @@ class TestArgParsing:
         assert len(values) == len(CSV_COLUMNS)
         for column in CSV_COLUMNS:
             assert line[column] == str(values[field_of.get(column, column)])
+
+    def test_row_cells_keep_their_bytes(self):
+        # a numpy float64 is a float: 17 significant digits, like a Python float
+        row = Row("etch", np.float64(0.1), 3, math.nan, np.float64(math.nan), math.inf,
+                  -math.inf, np.float64(1e-300), None, 1.5, 7, "E9", 2, None, np.float64(0.5))
+        assert rows_to_csv(small_cfg(), [row]).splitlines()[2] == (
+            "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,,1.5,7,E9,2,,0.5"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(experiment="star", full_scale=True),
+            dict(experiment="sweep", spam_grid=((1.0, 1.0), (0.8, 0.9))),
+            dict(experiment="etch", topology_path=str(DATA_DIR / "tree60_reversed.topo")),
+            dict(experiment="loss", q_params=(0.0, 0.25, 0.35), t_send_s=(0.5,),
+                 t_cutoff_s=(math.inf,), horizon_s=60.0),
+        ],
+        ids=["star-full-scale", "sweep-spam-grid", "etch", "loss"],
+    )
+    def test_config_header_is_the_json_of_the_config_fields(self, overrides):
+        cfg = ExperimentConfig(**overrides)
+        if cfg.experiment == "etch":
+            assert "topology" in vars(cfg)  # read and cached by the config check
+        header = rows_to_csv(cfg, []).splitlines()[0]
+        assert header == "# config " + json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
 class TestRunExperiment:
@@ -497,8 +539,8 @@ class TestRatioCell:
             run_experiment(cfg)
 
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
-# One small config per experiment: etch on fig1 at one M, loss over 300 s.
+# One small config per experiment: etch on fig1 at one M, loss over 300 s, and
+# etch on a 61-edge tree whose file lists its edges out of natural order.
 GOLDEN_ARGV = {
     "star": ["star", "--s", "0.9", "--m", "0.95", "--trials", "20",
              "--m-samples", "1000,3000", "--n-samples", "2000"],
@@ -509,6 +551,8 @@ GOLDEN_ARGV = {
     "spam-m": ["spam-m", "--s", "0.8", "--m", "0.9", "--q", "0.5,0.25", "--trials", "20",
                "--m-samples", "2000", "--n-samples", "2000,4000"],
     "etch": ["etch", "--s", "0.95", "--m", "0.9", "--trials", "20", "--m-samples", "10000"],
+    "etch-tree": ["etch", "--topology", "tree60_reversed.topo", "--s", "0.95", "--m", "0.9",
+                  "--trials", "20", "--m-samples", "10000"],
     "loss": ["loss", "--s", "0.95", "--trials", "3", "--horizon", "300",
              "--t-send", "0.1,0.5", "--t-cutoff", "0.05,5"],
 }
@@ -521,14 +565,16 @@ class TestGoldenCsv:
     the output proves it here.  A change that alters the random-stream layout
     (or anything else that moves a CSV number on purpose) regenerates them with
     ``QNT_REGEN_GOLDEN=1 python -m pytest tests/test_cli.py -k golden`` and
-    records that in CHANGES.md.
+    records that in CHANGES.md.  They run in ``tests/data``, so a topology path
+    in the ``# config`` line is relative.
     """
 
     @pytest.mark.parametrize("name", list(GOLDEN_ARGV))
-    def test_csv_matches_golden_file(self, name, capsys):
+    def test_csv_matches_golden_file(self, name, capsys, monkeypatch):
+        monkeypatch.chdir(DATA_DIR)
         assert main([*GOLDEN_ARGV[name], "--seed", "7"]) == 0
         text = normalize_runtime(capsys.readouterr().out) + "\n"
-        path = GOLDEN_DIR / f"golden_{name}.csv"
+        path = DATA_DIR / f"golden_{name}.csv"
         if os.environ.get("QNT_REGEN_GOLDEN"):
             path.write_text(text)
         assert text == path.read_text()

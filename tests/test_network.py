@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -20,10 +21,11 @@ from qnt.network import (
 )
 from qnt.pauli import PauliChannel
 from qnt.protocols import SpamModel
-from qnt.topo_io import bundled_topology
+from qnt.topo_io import bundled_topology, load_topology
 from tests_support_chain import build_chain_heavy_topology
 
 UNIFORM = PauliChannel(0.8, 0.8, 0.8)
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def star3() -> Topology:
@@ -453,6 +455,14 @@ class TestStoredKeys:
         ids.reverse()
         ids.append("extra")
         assert topology.sorted_edge_ids() == expected
+
+    def test_reversed_tree_file_holds_a_seeded_tree(self):
+        # the golden etch-tree CSV etches this file
+        parsed = load_topology(DATA_DIR / "tree60_reversed.topo")
+        tree = random_tree(4, 60)
+        assert dict(parsed.nodes) == dict(tree.nodes)
+        assert dict(parsed.edges) == dict(tree.edges)
+        assert list(parsed.edges) == tree.sorted_edge_ids()[::-1]
 
 
 def _etch_against_reference(monkeypatch, topology, bases=("Z",)) -> list:
