@@ -22,11 +22,10 @@ import functools
 import itertools
 import json
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import lossy, network, protocols, stats, topo_io
 from .pauli import ChannelValidationError, PauliChannel
@@ -160,8 +159,7 @@ class ExperimentConfig:
         return SpamModel(self.s, self.m)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     experiment: str
     m_value: float
     n_value: float
@@ -179,10 +177,6 @@ class Row:
     t_cutoff_s: Optional[float] = None
 
 
-# Row fields in CSV_COLUMNS order.
-_row_values = operator.attrgetter(*(f.name for f in dataclasses.fields(Row)))
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -194,9 +188,10 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
-    header = "# config " + json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-    lines = [header, ",".join(CSV_COLUMNS)]
-    lines += [",".join(map(_fmt, _row_values(row))) for row in rows]
+    # fields(), not asdict() (a deep copy) or vars() (which holds the cached topology)
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
+    lines += [",".join(map(_fmt, row)) for row in rows]  # Row fields are in CSV_COLUMNS order
     return "\n".join(lines) + "\n"
 
 

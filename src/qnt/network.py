@@ -37,9 +37,12 @@ class BranchSelectionError(RuntimeError):
     """No valid pair of disjoint monitor-reaching branches exists."""
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
+
 def natural_key(identifier: str) -> tuple:
     """Sort key treating digit runs numerically, so P2 < P11."""
-    return tuple(int(part) if part.isdigit() else part for part in re.split(r"(\d+)", identifier))
+    return tuple(int(part) if part.isdigit() else part for part in _DIGIT_RUNS.split(identifier))
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,7 @@ class Topology:
                 raise TopologyError(f"node {node!r} has unknown kind {kind!r}")
         edge_map: dict[str, Edge] = {}
         adjacency: dict[str, list[str]] = {node: [] for node in node_map}
+        self._degrees = dict.fromkeys(node_map, 0)  # a self-loop adds 2 to its node
         for edge in edges:
             if edge.edge_id in edge_map:
                 raise TopologyError(f"duplicate edge id {edge.edge_id!r}")
@@ -79,6 +83,7 @@ class Topology:
                     raise TopologyError(
                         f"edge {edge.edge_id!r} references unknown node {endpoint!r}"
                     )
+                self._degrees[endpoint] += 1
             edge_map[edge.edge_id] = edge
             adjacency[edge.node_a].append(edge.edge_id)
             if edge.node_b != edge.node_a:
@@ -111,9 +116,7 @@ class Topology:
         return self._adjacency[node]
 
     def degree(self, node: str) -> int:
-        # A self-loop contributes 2 to the degree of its node.
-        return sum(2 if self._edges[e].node_a == self._edges[e].node_b else 1
-                   for e in self._adjacency[node])
+        return self._degrees[node]
 
     def sort_key(self, name: str) -> tuple:
         """``natural_key(name)`` of a node or edge name of this topology."""
@@ -169,7 +172,8 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
             violations.append(
                 TopologyViolation("connectivity", sample, "node is not connected to the rest")
             )
-    for edge_id, edge in topology.edges.items():
+    for edge_id in topology.sorted_edge_ids():
+        edge = topology.edges[edge_id]
         if edge.node_a == edge.node_b:
             violations.append(
                 TopologyViolation("self-loop", edge_id, "channel starts and ends at one node")
@@ -214,8 +218,10 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
     composite of its members; edge count is conserved in the sense that
     original edges = surviving simple edges + sum of path lengths.  A cycle
     made entirely of degree-2 nodes has no anchoring endpoint and is
-    rejected.
+    rejected.  A topology with nothing to contract comes back as it is.
     """
+    if not any(_is_chain_interior(topology, node) for node in topology.nodes):
+        return topology, []
     consumed: set[str] = set()
     equivalents: list[EquivalentChannel] = []
     surviving: list[Edge] = []

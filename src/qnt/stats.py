@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -32,8 +31,7 @@ def substream(master_seed: int, label: str, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class TrialAggregate:
+class TrialAggregate(NamedTuple):
     """Per-experiment error summary across repeated trials.
 
     ``mse`` is the mean of squared errors; ``sq_err_std`` their standard

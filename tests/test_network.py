@@ -124,10 +124,19 @@ class TestSimplifyDegree2:
         topo = star3()
         simplified, equivalents = simplify_degree2(topo)
         assert equivalents == []
-        assert set(simplified.edges) == set(topo.edges)
+        assert simplified is topo  # immutable, so a copy would be dead work
+
+    @pytest.mark.parametrize("name", ["tree60_reversed.topo", "self_loops.topo"])
+    def test_parsed_file_with_nothing_to_contract_is_used_as_parsed(self, name):
+        topo = load_topology(DATA_DIR / name)
+        simplified, equivalents = simplify_degree2(topo)
+        assert (simplified, equivalents) == (topo, [])
+        assert simplified is topo
 
     def test_chain_contracts_to_single_edge(self):
-        simplified, equivalents = simplify_degree2(chain_topology())
+        topo = chain_topology()
+        simplified, equivalents = simplify_degree2(topo)
+        assert simplified is not topo
         assert len(equivalents) == 1
         eq = equivalents[0]
         assert eq.edge_ids == ("E1", "E2", "E3")
@@ -152,7 +161,7 @@ class TestSimplifyDegree2:
         simplified, _ = simplify_degree2(star_with_pendants())
         again, equivalents = simplify_degree2(simplified)
         assert equivalents == []
-        assert set(again.edges) == set(simplified.edges)
+        assert again is simplified
 
     def test_pure_degree2_cycle_rejected(self):
         nodes = {"A": "internal", "B": "internal", "C": "internal"}
@@ -456,8 +465,29 @@ class TestStoredKeys:
         ids.append("extra")
         assert topology.sorted_edge_ids() == expected
 
+
+class TestStoredDegree:
+    """Degrees counted once per topology equal the count of edge ends."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [*KEYED_TOPOLOGIES.values(), lambda: load_topology(DATA_DIR / "self_loops.topo")],
+        ids=[*KEYED_TOPOLOGIES, "self-loops"],
+    )
+    def test_stored_degree_counts_edge_ends(self, build):
+        # a self-loop has both ends at its node, so it counts 2
+        topology = build()
+        for node in topology.nodes:
+            ends = sum((edge.node_a == node) + (edge.node_b == node) for edge in topology.edges.values())
+            assert topology.degree(node) == ends
+
+    def test_two_self_loops_add_four(self):
+        assert load_topology(DATA_DIR / "self_loops.topo").degree("H") == 3 + 2 * 2
+
+
+class TestDataFiles:
     def test_reversed_tree_file_holds_a_seeded_tree(self):
-        # the golden etch-tree CSV etches this file
+        # the golden etch-tree CSV of test_cli etches this file
         parsed = load_topology(DATA_DIR / "tree60_reversed.topo")
         tree = random_tree(4, 60)
         assert dict(parsed.nodes) == dict(tree.nodes)
