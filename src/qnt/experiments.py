@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -86,9 +85,9 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
-        self.experiment = self.experiment.replace("-", "_")
+        typed, self.experiment = self.experiment, self.experiment.replace("-", "_")
         if self.experiment not in DRIVERS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ValueError(f"unknown experiment {typed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is None:
@@ -105,7 +104,7 @@ class ExperimentConfig:
         needed = _Q_PARAMS_READ[self.experiment]
         if len(self.q_params) < needed:
             raise ValueError(
-                f"{self.experiment} needs {needed} q values, got {len(self.q_params)}"
+                f"{typed} needs {needed} q values, got {len(self.q_params)}"
             )
         for index, q in enumerate(self.q_params[:needed], start=1):
             try:
@@ -177,21 +176,16 @@ class Row(NamedTuple):
     t_cutoff_s: Optional[float] = None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
-    return str(value)
-
-
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
     # fields(), not asdict() (a deep copy) or vars() (which holds the cached topology)
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
-    lines += [",".join(map(_fmt, row)) for row in rows]  # Row fields are in CSV_COLUMNS order
+    # Row fields are in CSV_COLUMNS order; a numpy float64 is a float, and a NaN prints as nan
+    lines += [
+        ",".join(["" if cell is None else f"{cell:.17g}" if isinstance(cell, float) else str(cell)
+                  for cell in row])
+        for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

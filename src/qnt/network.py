@@ -42,7 +42,10 @@ _DIGIT_RUNS = re.compile(r"(\d+)")
 
 def natural_key(identifier: str) -> tuple:
     """Sort key treating digit runs numerically, so P2 < P11."""
-    return tuple(int(part) if part.isdigit() else part for part in _DIGIT_RUNS.split(identifier))
+    parts = _DIGIT_RUNS.split(identifier)
+    for odd in range(1, len(parts), 2):  # the captured digit runs
+        parts[odd] = int(parts[odd])
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,13 @@ class Topology:
                 adjacency[edge.node_b].append(edge.edge_id)
         # Natural-order keys of every node and edge name, computed once.
         self._keys = {name: natural_key(name) for name in (*node_map, *edge_map)}
-        for node in adjacency:
-            adjacency[node].sort(key=self.sort_key)
+        key = self._keys.__getitem__
+        for incident in adjacency.values():
+            incident.sort(key=key)
         self._nodes = MappingProxyType(node_map)
         self._edges = MappingProxyType(edge_map)
         self._adjacency = MappingProxyType({n: tuple(e) for n, e in adjacency.items()})
-        self._sorted_edges = tuple(sorted(edge_map, key=self.sort_key))
+        self._sorted_edges = tuple(sorted(edge_map, key=key))
 
     @property
     def nodes(self) -> Mapping[str, str]:
@@ -137,6 +141,7 @@ class TopologyViolation:
 
 
 def _connected_components(topology: Topology) -> list[set]:
+    edges, adjacency = topology.edges, topology._adjacency
     seen: set[str] = set()
     components = []
     for start in topology.nodes:
@@ -148,8 +153,9 @@ def _connected_components(topology: Topology) -> list[set]:
             if node in comp:
                 continue
             comp.add(node)
-            for edge_id in topology.incident_edges(node):
-                stack.append(topology.edges[edge_id].other(node))
+            for edge_id in adjacency[node]:
+                edge = edges[edge_id]
+                stack.append(edge.node_b if edge.node_a == node else edge.node_a)
         seen |= comp
         components.append(comp)
     return components
@@ -355,33 +361,27 @@ def _ranked_monitors(
     better are final.
     """
     edges = topology.edges
+    adjacency = topology._adjacency
+    keys = topology._keys
     chains = state.chains
     parent: dict[str, Optional[tuple[str, str]]] = {start: None}
-
-    def path_to(node: str, last_edge: str) -> tuple[str, ...]:
-        path = [last_edge]
-        while parent[node] is not None:
-            node, edge_id = parent[node]
-            path.append(edge_id)
-        return tuple(reversed(path))
-
     heap: list = []
-    discovered: set = set()
+    discovered = {start}  # so the start is never yielded
     level = [start]
     depth = 0
     while level:
         next_level = []
         for node in level:
-            for edge_id in topology.incident_edges(node):
+            for edge_id in adjacency[node]:
                 if edge_id in blocked_edges:
                     continue
-                other = edges[edge_id].other(node)
+                edge = edges[edge_id]
+                other = edge.node_b if edge.node_a == node else edge.node_a
                 if other in chains:
-                    if other not in discovered and other != start:
+                    if other not in discovered:
                         discovered.add(other)
                         chain = chains[other]
-                        rank = depth + 1 + len(chain)
-                        heapq.heappush(heap, (rank, topology.sort_key(other), len(discovered),
+                        heapq.heappush(heap, (depth + 1 + len(chain), keys[other], len(discovered),
                                               other, node, edge_id, chain))
                     continue
                 if other in parent:
@@ -392,8 +392,12 @@ def _ranked_monitors(
         depth += 1
         # With no level left to expand, every queued monitor is final.
         while heap and (not level or heap[0][0] <= depth):
-            _, _, _, monitor, via_node, via_edge, chain = heapq.heappop(heap)
-            yield monitor, path_to(via_node, via_edge), chain
+            _, _, _, monitor, node, edge_id, chain = heapq.heappop(heap)
+            path = [edge_id]
+            while parent[node] is not None:
+                node, edge_id = parent[node]
+                path.append(edge_id)
+            yield monitor, tuple(reversed(path)), chain
 
 
 def select_mergecast_branches(
@@ -413,39 +417,30 @@ def select_mergecast_branches(
     name order, and the first edge-disjoint pair wins.
     """
     edge = topology.edges[target]
-    candidates = []
-    for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a)):
-        if outer not in state.chains:
-            continue
-        candidates.append((outer, center))
+    chains = state.chains
+    a, b = edge.node_a, edge.node_b
+    candidates = [(outer, center) for outer, center in ((a, b), (b, a)) if outer in chains]
     if not candidates:
         raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
-    candidates.sort(key=lambda pair: topology.sort_key(pair[0]))
+    if len(candidates) == 2:
+        candidates.sort(key=lambda pair: topology._keys[pair[0]])
 
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
-        target_chain = state.chains[outer]
-        reserved = set(target_chain) | {target}
+        target_chain = chains[outer]
+        reserved = {target}.union(target_chain)
         for monitor_a, path_a, chain_a in _ranked_monitors(topology, state, center, reserved):
             if monitor_a == outer:
                 continue
-            used = reserved | set(path_a) | set(chain_a)
+            used = reserved.union(path_a, chain_a)
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
             for monitor_b, path_b, chain_b in _ranked_monitors(topology, state, center, used):
                 if monitor_b in (outer, monitor_a):
                     continue
-                all_edges = used | set(path_b) | set(chain_b)
-                if len(all_edges) != len(used) + len(path_b) + len(chain_b):
+                if len(used.union(path_b, chain_b)) != len(used) + len(path_b) + len(chain_b):
                     continue
-                return BranchSelection(
-                    merge_node=center,
-                    target_chain=target_chain,
-                    path_a2=path_a,
-                    chain_a2=chain_a,
-                    path_b=path_b,
-                    chain_b=chain_b,
-                )
+                return BranchSelection(center, target_chain, path_a, chain_a, path_b, chain_b)
         last_error = (
             f"merge node {center!r} cannot reach two distinct effective monitors "
             f"on edge-disjoint paths avoiding target {target!r}"
@@ -465,7 +460,7 @@ def etching_rounds(topology: Topology) -> Iterator[list[tuple[str, BranchSelecti
     """
     state = EtchingState.initial(topology)
     while True:
-        frontier = sorted(peripheral_edges(topology, state), key=topology.sort_key)
+        frontier = sorted(peripheral_edges(topology, state), key=topology._keys.__getitem__)
         if not frontier:
             return
         selections = [(target, select_mergecast_branches(topology, state, target))

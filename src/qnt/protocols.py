@@ -129,9 +129,11 @@ def _diagonals(channels: Iterable[PauliChannel]) -> np.ndarray:
 def _index_paths(paths: Sequence[Sequence[str]], index: dict) -> np.ndarray:
     """The table rows ``index[e]`` of the edges of each path, one path per row, padded at
     its end with the pad row ``len(index)``."""
-    rows = np.full((len(paths), max(map(len, paths))), len(index))
-    for row, path in zip(rows, paths):
-        row[:len(path)] = [index[e] for e in path]
+    lengths = np.fromiter(map(len, paths), int, len(paths))
+    rows = np.full((len(paths), lengths.max()), len(index))
+    # a boolean mask assigns in row-major order, so the edges fill each row's first entries
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.fromiter(
+        map(index.__getitem__, itertools.chain.from_iterable(paths)), int)
     return rows
 
 
@@ -474,10 +476,11 @@ def run_progressive_etching(
     if problems:
         raise ProtocolError("topology not ready for etching: " + "; ".join(map(str, problems)))
     unmeasured = math.nan if trials is None else np.full(trials, math.nan)
-    identified = {}  # edge -> per-basis estimates, for the chain corrections
     run = EtchingRun()
     index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
     table = _diagonals(edge.channel for edge in topology.edges.values())
+    # Per basis, the estimates so far by table row, for the chain corrections; the pad is 1.0.
+    known = {basis: np.ones((*np.shape(unmeasured), len(index) + 1)) for basis in bases}
 
     for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
         frontier = [target for target, _ in selections]
@@ -485,28 +488,28 @@ def run_progressive_etching(
                   for target, selection in selections]
         paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
         probs = {basis: _pipeline(table, paths, spam, basis, labels=frontier) for basis in bases}
-        chains = [[identified[e] for e in selection.target_chain] for _, selection in selections]
+        chains = _index_paths([selection.target_chain for _, selection in selections], index)
+        target_rows = [index[target] for target in frontier]
 
-        round_results = {target: {} for target in frontier}
+        by_basis = {}
         for basis, (p_merge, p_uni) in probs.items():
             try:
                 ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
                                      f"etch|{round_num}|{basis}", trials)
-                correction = np.empty(np.shape(ratio))  # float64, also for an integer spam.s
-                for column, chain in enumerate(chains):
-                    correction[..., column] = math.prod((known[basis] for known in chain), start=spam.s)
+                correction = np.full(np.shape(ratio), spam.s, dtype=float)
+                for chain_step in chains.T:  # spam.s times the chain estimates, in chain order
+                    correction = correction * known[basis][..., chain_step]
                 _check_divisor(correction, "chain correction")
             except EstimationError as err:
                 where = f"edge {frontier[err.column]!r}, basis {basis}"
                 raise EstimationError(f"{where}: {err}", err.column) from None
             estimates = ratio / correction
-            for target, estimate in zip(frontier, estimates.tolist() if trials is None else estimates.T):
-                round_results[target][basis] = estimate
+            known[basis][..., target_rows] = estimates
+            by_basis[basis] = estimates.tolist() if trials is None else estimates.T
 
-        for target, per_basis in round_results.items():
-            identified[target] = per_basis
-            run.steps[target] = round_num
-            run.estimates[target] = ChannelEstimate(*(per_basis.get(b, unmeasured) for b in "XYZ"))
+        run.steps.update(dict.fromkeys(frontier, round_num))
+        columns = (by_basis.get(b, itertools.repeat(unmeasured)) for b in "XYZ")
+        run.estimates.update(zip(frontier, map(ChannelEstimate, *columns)))
 
     return run
 

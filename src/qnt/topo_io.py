@@ -56,7 +56,7 @@ def parse_topology(text: str) -> Topology:
                 if endpoint not in nodes:
                     raise TopologyParseError(line_no, f"unknown node reference {endpoint!r}")
             try:
-                q_x, q_y, q_z = (float(v) for v in qs)
+                q_x, q_y, q_z = map(float, qs)
             except ValueError:
                 raise TopologyParseError(line_no, f"non-numeric channel parameters {qs!r}") from None
             try:

@@ -271,9 +271,10 @@ class TestArgParsing:
         # a numpy float64 is a float: 17 significant digits, like a Python float
         row = Row("etch", np.float64(0.1), 3, math.nan, np.float64(math.nan), math.inf,
                   -math.inf, np.float64(1e-300), None, 1.5, 7, "E9", 2, None, np.float64(0.5))
-        assert rows_to_csv(small_cfg(), [row]).splitlines()[2] == (
-            "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,,1.5,7,E9,2,,0.5"
-        )
+        negative_nans = row._replace(s=-math.nan, m=np.float64(-math.nan))
+        cells, negative_nan_cells = rows_to_csv(small_cfg(), [row, negative_nans]).splitlines()[2:]
+        assert cells == "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,,1.5,7,E9,2,,0.5"
+        assert negative_nan_cells == cells  # a NaN prints nan whatever its sign
 
     @pytest.mark.parametrize(
         "overrides",
@@ -453,6 +454,27 @@ class TestMain:
         assert code == 0
         body = out.read_text().splitlines()
         assert len(body) == 2 + 3  # three edges
+
+    def test_etch_names_with_a_non_decimal_digit(self, tmp_path):
+        # '²' is a digit to str.isdigit() but not a decimal digit, so it stays text in a name key
+        topo_file = tmp_path / "net.topo"
+        topo_file.write_text(
+            "node H1\u00b2 internal\nnode A1 monitor\nnode A2 monitor\nnode B monitor\n"
+            "edge P1 H1\u00b2 A1 0.8 0.8 0.8\nedge P2 H1\u00b2 A2 0.8 0.8 0.8\n"
+            "edge P3 H1\u00b2 B 0.8 0.8 0.8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "etch.csv"
+        argv = ["etch", "--topology", str(topo_file), "--trials", "2", "--m-samples", "1000",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2 + 3
+
+    def test_config_error_names_the_experiment_as_typed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spam-m", "--q", "0.5"])
+        assert exit_info.value.code == 2
+        assert "qnt spam-m: error: spam-m needs 2 q values, got 1" in capsys.readouterr().err
 
 
 STAR_SPAM = SpamModel(0.9, 0.95)

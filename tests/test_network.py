@@ -73,6 +73,12 @@ class TestNaturalKey:
     def test_numeric_ordering(self):
         assert sorted(["P11", "P2", "P1"], key=natural_key) == ["P1", "P2", "P11"]
 
+    def test_only_decimal_digit_runs_are_numbers(self):
+        # '²' passes str.isdigit() but is not matched by \d, so it stays text
+        assert natural_key("H1\u00b2") == ("H", 1, "\u00b2")
+        assert natural_key("P2") < natural_key("P11")
+        assert natural_key("M1") == natural_key("M01")
+
 
 class TestTopology:
     def test_duplicate_edge_rejected(self):
@@ -236,6 +242,19 @@ class TestBranchSelection:
         assert sel.merge_node == "C"
         assert {sel.path_a2, sel.path_b} == {("P2",), ("P3",)}
         assert sel.target_chain == ()
+
+    def test_an_effective_monitor_start_is_never_yielded(self):
+        # S is an effective monitor on a cycle, so the search reaches it again from A and B
+        nodes = {"S": "internal", "A": "internal", "B": "internal",
+                 "M1": "monitor", "M2": "monitor", "M3": "monitor"}
+        edges = [Edge("E1", "S", "M1", UNIFORM), Edge("E2", "S", "A", UNIFORM),
+                 Edge("E3", "A", "B", UNIFORM), Edge("E4", "S", "B", UNIFORM),
+                 Edge("E5", "A", "M2", UNIFORM), Edge("E6", "B", "M3", UNIFORM)]
+        topo = Topology(nodes, edges)
+        state = EtchingState.initial(topo)
+        state.chains["S"] = ("E1",)
+        ranked = list(network._ranked_monitors(topo, state, "S", set()))
+        assert ranked == [("M1", ("E1",), ()), ("M2", ("E2", "E5"), ()), ("M3", ("E4", "E6"), ())]
 
     def test_fig1_peripheral_target(self):
         topo = bundled_topology("fig1")
