@@ -144,6 +144,44 @@ def _merge_outcome_prob(
     return _merge_prob(stored[:, 0], stored[:, 1], np.array([[(1.0, *ch3.q)]]), spam.m)
 
 
+def _pair_gaps(arrived: np.ndarray, k: int) -> np.ndarray:
+    """Root 1's slot minus root 0's for every merge, in merge order (int64).
+
+    ``arrived`` has one row per slot and one column per root.  Arrivals pair
+    first in, first out; a qubit more than ``k`` slots from its partner is
+    dropped.  Root 1's j-th arrival meets root 0's queue at index u_j between
+    lo_j, root 0's arrivals before its slot minus k, and hi_j, those up to its
+    slot plus k, and merges exactly when u_j < hi_j: u_0 = lo_0 and
+    u_{j+1} = max(min(u_j + 1, hi_j), lo_{j+1}).  Maps x -> max(min(x + s, A), B)
+    compose into maps of that form, so a doubling scan finds every u_j in at
+    most log2(arrivals) rounds.  It stops once every composite is a constant
+    (B >= A); at k = 0 all of them are from the start, as lo_{j+1} >= hi_j.
+    """
+    first, second = (np.flatnonzero(arrived[:, root]) for root in (0, 1))
+    n_slots = len(arrived)
+    before = np.zeros(n_slots + 1, dtype=np.int64)  # root-0 arrivals before each slot
+    np.cumsum(arrived[:, 0], out=before[1:])
+    hi = before[np.clip(second + k + 1, 0, n_slots)]
+    # (shift, upper, lower) of the map from u_{j-1} to u_j; row 0's is the constant lo_0
+    lower = before[np.clip(second - k, 0, n_slots)]
+    upper = np.concatenate((lower[:1], hi[:-1]))
+    shift = np.ones_like(lower)
+    shift[:1] = 0
+    width = 1
+    while (lower < upper).any():
+        # row j's map after row j - width's; a constant map is left as it is
+        s, a = shift[width:], upper[width:]
+        composed = (
+            shift[:-width] + s,
+            np.minimum(upper[:-width] + s, a),
+            np.maximum(np.minimum(lower[:-width] + s, a), lower[width:]),
+        )
+        shift[width:], upper[width:], lower[width:] = composed
+        width *= 2
+    merges = lower < hi
+    return second[merges] - first[lower[merges]]
+
+
 def run_loss_experiment(
     channels: tuple[PauliChannel, PauliChannel, PauliChannel],
     fiber: FiberParams,
@@ -155,9 +193,10 @@ def run_loss_experiment(
     """Simulate the lossy merge protocol over the schedule horizon.
 
     Arrivals pair first-in first-out; a qubit that would wait past the
-    cutoff is dropped.  The walk compares integer slot gaps against k, the
-    largest wait in slots that the cutoff keeps (``k dt <= cutoff +
-    TIME_EPS``), computed once.  Randomness is split into three substreams
+    cutoff is dropped.  k, the largest wait in slots that the cutoff keeps
+    (``k dt <= cutoff + TIME_EPS``), is computed once, and one prefix scan
+    (:func:`_pair_gaps`) pairs the arrival slots of all merges against it as
+    integer slot gaps.  Randomness is split into three substreams
     (arrivals, relay-fiber loss, measurement outcomes) that are consumed
     independently of the cutoff, so for all cutoffs below the send interval
     the counts coincide exactly.  One batched call of the state pipeline
@@ -167,7 +206,6 @@ def run_loss_experiment(
     dt = schedule.send_interval_s
     n_slots = schedule.n_slots
     arrived = substream(seed, "loss-arrivals", 0).random((n_slots, 2)) < p_s
-    first, second = (np.flatnonzero(arrived[:, root]).tolist() for root in (0, 1))
 
     # k is the largest g with g * dt <= limit.  The quotient may round across
     # an integer, so that float test corrects it; no gap reaches n_slots, which
@@ -180,23 +218,9 @@ def run_loss_experiment(
     while k > 0 and k * dt > limit:
         k -= 1
 
-    gaps: list[int] = []  # per merge, root 1's arrival slot minus root 0's
-    append = gaps.append
-    n_first, n_second = len(first), len(second)
-    i = j = 0
-    while i < n_first and j < n_second:
-        gap = second[j] - first[i]
-        if gap > k:  # root 0's qubit expired
-            i += 1
-        elif gap < -k:  # root 1's qubit expired
-            j += 1
-        else:
-            append(gap)
-            i += 1
-            j += 1
-
-    relayed = substream(seed, "loss-relay", 0).random(len(gaps)) < p_s
-    received = np.array(gaps, dtype=np.int64)[relayed]
+    gaps = _pair_gaps(arrived, k)
+    relayed = substream(seed, "loss-relay", 0).random(gaps.size) < p_s
+    received = gaps[relayed]
     outcomes = substream(seed, "loss-outcomes", 0).random(received.size)
     distinct, inverse = np.unique(received, return_inverse=True)
     waits = np.column_stack((np.maximum(distinct, 0) * dt, np.maximum(-distinct, 0) * dt))
@@ -210,7 +234,7 @@ def run_loss_experiment(
     else:
         estimate = (2.0 * zeros / n_received - 1.0) / reference
     return LossExperimentResult(
-        merged_count=len(gaps),
+        merged_count=gaps.size,
         received_count=n_received,
         zero_count=zeros,
         estimate=estimate,

@@ -13,6 +13,7 @@ from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_
 from qnt.experiments import (
     CSV_COLUMNS,
     LOSS_FIBER,
+    LOSS_MAX_SLOTS,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
     ExperimentConfig,
@@ -122,6 +123,26 @@ class TestArgParsing:
         assert main(argv) == 0
         header, row = capsys.readouterr().out.splitlines()[1:]
         assert dict(zip(header.split(","), row.split(",")))["t_cutoff_s"] == "inf"
+
+    @pytest.mark.parametrize("argv, slots", [
+        (["loss", "--t-send", "1e-9"], "3.6e+12"),
+        (["loss", "--horizon", "1e13", "--t-send", "0.5"], "2e+13"),
+        (["loss", "--horizon", "1e300", "--t-send", "1e-300"], "inf"),
+    ])
+    def test_loss_schedule_past_the_slot_cap_is_a_usage_error(self, argv, slots, capsys):
+        # the arrival draws of such a schedule would not fit in memory
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qnt loss " in err
+        assert f"gives {slots} send slots, more than the cap of 1e+08" in err
+
+    def test_loss_slot_cap_is_inclusive(self):
+        assert LOSS_MAX_SLOTS == 10**8
+        ExperimentConfig("loss", t_send_s=(0.5,), horizon_s=LOSS_MAX_SLOTS / 2)
+        with pytest.raises(ValueError, match="gives 100000001 send slots"):
+            ExperimentConfig("loss", t_send_s=(0.5,), horizon_s=LOSS_MAX_SLOTS / 2 + 0.5)
 
     def test_negative_q_list_as_separate_argument(self, capsys):
         outputs = []

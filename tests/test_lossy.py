@@ -205,6 +205,75 @@ class TestRunLossExperiment:
         assert a == b
 
 
+def reference_pair_gaps(arrived, k):
+    """The two-pointer walk that the prefix scan replaces: root 1's slot minus
+    root 0's per merge, dropping the earlier qubit of a pair more than k
+    slots apart."""
+    first, second = (np.flatnonzero(arrived[:, root]).tolist() for root in (0, 1))
+    gaps = []
+    i = j = 0
+    while i < len(first) and j < len(second):
+        gap = second[j] - first[i]
+        if gap > k:  # root 0's qubit expired
+            i += 1
+        elif gap < -k:  # root 1's qubit expired
+            j += 1
+        else:
+            gaps.append(gap)
+            i += 1
+            j += 1
+    return np.array(gaps, dtype=np.int64)
+
+
+def seeded_pairing_cases():
+    """(arrived, k) inputs: a few hundred seeded (n_slots, p0, p1, k) draws,
+    then no arrivals, certain arrivals, k = 0, k >= n_slots and one slot."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for index in range(300):
+        n_slots = int(rng.integers(1, 40 if index % 2 else 2000))
+        p0, p1 = rng.random(2)
+        if index % 5 == 0:  # a root that never, always or rarely delivers
+            p0 = rng.choice([0.0, 1.0, 0.05])
+        k = int(rng.choice([0, 1, rng.integers(0, 60), rng.integers(0, n_slots + 2)]))
+        cases.append((np.column_stack((rng.random(n_slots) < p0, rng.random(n_slots) < p1)), k))
+    full, empty = np.ones(500, dtype=bool), np.zeros(500, dtype=bool)
+    half = rng.random(500) < 0.5
+    for columns in ((empty, empty), (empty, half), (half, empty), (full, full), (full, half), (half, full)):
+        for k in (0, 3, 499, 500, 10**9):
+            cases.append((np.column_stack(columns), k))
+    for arrived in ([[True, True]], [[True, False]], [[False, True]], [[False, False]]):
+        for k in (0, 1, 10**9):
+            cases.append((np.array(arrived, dtype=bool).reshape(1, 2), k))
+    cases.append((np.zeros((0, 2), dtype=bool), 0))
+    return cases
+
+
+class TestPairGaps:
+    def test_matches_the_walk(self):
+        for arrived, k in seeded_pairing_cases():
+            got, want = lossy._pair_gaps(arrived, k), reference_pair_gaps(arrived, k)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"n_slots={len(arrived)}, k={k}")
+
+    def test_cases_reach_drops_and_long_waits(self):
+        # the inputs above must drop qubits of both roots in one run, wait on
+        # either root and merge across many slots, or they would not pin the
+        # scan's rounds
+        cases = seeded_pairing_cases()
+        merges = [reference_pair_gaps(arrived, k) for arrived, k in cases]
+        assert sum(gaps.size < min(arrived.sum(axis=0)) for gaps, (arrived, _) in zip(merges, cases)) > 50
+        assert sum((gaps > 0).any() and (gaps < 0).any() for gaps in merges) > 50
+        assert sum(abs(gaps).max(initial=0) > 20 for gaps in merges) > 20
+        assert any(gaps.size == 0 for gaps in merges)
+
+    def test_k_zero_merges_exactly_the_slots_where_both_roots_arrived(self):
+        arrived = substream(9, "pairing", 0).random((5000, 2)) < 0.3
+        gaps = lossy._pair_gaps(arrived, 0)
+        assert gaps.size == np.count_nonzero(arrived.all(axis=1))
+        assert not gaps.any()
+
+
 def reference_loss(channels, fiber, memory, schedule, spam=PERFECT_SPAM, seed=0):
     """The slot-by-slot simulation that pairing arrivals replaces: a queue of
     waiting qubits per root, aged out at every slot, and one relay draw,
