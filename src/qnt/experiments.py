@@ -57,9 +57,6 @@ _Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2, "e
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
 LOSS_MEMORY_T2_S = 1.0
-# The most send slots a loss schedule may have: a trial draws two float64
-# uniforms per slot, so 10^8 slots take 1.6 GB.
-LOSS_MAX_SLOTS = 10**8
 
 
 @dataclass
@@ -68,8 +65,8 @@ class ExperimentConfig:
     defaults, and ``experiment`` to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).
     An unknown experiment and out-of-range values, including a negative seed,
     a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
-    rejects or that give more than ``LOSS_MAX_SLOTS`` send slots, and an etch
-    topology that cannot be read or etched, raise ``ValueError``."""
+    rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that
+    cannot be read or etched, and an etch ``s`` too small to divide by raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -125,16 +122,12 @@ class ExperimentConfig:
         if self.experiment == "loss":
             for t_send in self.t_send_s:
                 lossy.Schedule(t_send, self.horizon_s)
-                # a float quotient, so a count past the float range reads inf
-                slots = self.horizon_s / t_send
-                if slots >= LOSS_MAX_SLOTS + 1:
-                    raise ValueError(
-                        f"send interval {t_send!r} over a {self.horizon_s!r} s horizon gives "
-                        f"{slots:.10g} send slots, more than the cap of {LOSS_MAX_SLOTS:.0e}"
-                    )
             for t_cutoff in self.t_cutoff_s:
                 lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, t_cutoff)
         if self.experiment == "etch":
+            if self.s < protocols.DEGENERATE_DENOMINATOR_TOL:  # first-round edges divide by s alone
+                raise ValueError(f"etch divides by s, so s must be at least "
+                                 f"{protocols.DEGENERATE_DENOMINATOR_TOL:g}, got s={self.s!r}")
             self.topology  # read and checked here, so a bad file is a usage error
 
     @functools.cached_property

@@ -29,6 +29,9 @@ from .protocols import PERFECT_SPAM, SpamModel, _merge_prob
 from .stats import substream
 
 TIME_EPS = 1e-9
+# The most send slots a schedule may have: with its uniform draws and the pairing's
+# counts, one `loss` trial peaks at about 25 bytes per slot, so 2.5 GB at the cap.
+MAX_SLOTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class MemoryParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Periodic simultaneous sending over a fixed wall-clock horizon."""
+    """Periodic simultaneous sending over a fixed wall-clock horizon, in at most ``MAX_SLOTS`` slots."""
 
     send_interval_s: float
     horizon_s: float
@@ -81,6 +84,11 @@ class Schedule:
                 f"need 0 < send interval <= horizon < inf, got {self.send_interval_s} "
                 f"and {self.horizon_s}"
             )
+        # a float quotient, so a count past the float range reads inf
+        slots = self.horizon_s / self.send_interval_s
+        if slots >= MAX_SLOTS + 1:
+            raise ValueError(f"send interval {self.send_interval_s!r} over a {self.horizon_s!r} s horizon "
+                             f"gives {slots:.10g} send slots, more than the cap of {MAX_SLOTS:.0e}")
 
     @property
     def n_slots(self) -> int:
@@ -159,8 +167,8 @@ def _pair_gaps(arrived: np.ndarray, k: int) -> np.ndarray:
     """
     first, second = (np.flatnonzero(arrived[:, root]) for root in (0, 1))
     n_slots = len(arrived)
-    before = np.zeros(n_slots + 1, dtype=np.int64)  # root-0 arrivals before each slot
-    np.cumsum(arrived[:, 0], out=before[1:])
+    before = np.zeros(n_slots + 1, dtype=np.int32)  # root-0 arrivals before each slot; < 2^31 slots
+    np.cumsum(arrived[:, 0], dtype=np.int32, out=before[1:])
     hi = before[np.clip(second + k + 1, 0, n_slots)]
     # (shift, upper, lower) of the map from u_{j-1} to u_j; row 0's is the constant lo_0
     lower = before[np.clip(second - k, 0, n_slots)]

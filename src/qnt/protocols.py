@@ -457,10 +457,10 @@ def run_progressive_etching(
     Each round of :func:`network.etching_rounds` (a frozen frontier in
     ascending natural edge-id order, with its branch selections) is estimated
     here.  A target whose effective-monitor endpoint is internal is reached
-    through the chain of already-identified edges backing that monitor; the
-    ratio estimate then includes the true chain product, and dividing by the
-    *estimated* chain product (from earlier rounds) propagates earlier errors
-    exactly as a real deployment would.
+    through the chain of already-identified edges backing that monitor.  The chain's
+    head was reached through the rest of the chain, so its raw ratio estimates s times
+    the chain's product: dividing by it (by s for an empty chain) leaves the target's q,
+    and propagates earlier errors exactly as a real deployment would.
 
     Per round and basis, one state-pipeline call computes the probabilities of every
     frontier target, and one :func:`sample_ratio` call draws them (column j is target j)
@@ -470,7 +470,7 @@ def run_progressive_etching(
     such basis of ``bases``.
     ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k
     is the k-th of successive scalar sweeps on the same streams, each divided by its own
-    chain correction.
+    head's ratio.
     """
     problems = network.validate(topology, require_simplified=True)
     if problems:
@@ -479,8 +479,8 @@ def run_progressive_etching(
     run = EtchingRun()
     index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
     table = _diagonals(edge.channel for edge in topology.edges.values())
-    # Per basis, the estimates so far by table row, for the chain corrections; the pad is 1.0.
-    known = {basis: np.ones((*np.shape(unmeasured), len(index) + 1)) for basis in bases}
+    # Per basis, the raw ratios so far by table row; the pad, an empty chain's, is s.
+    ratios = {basis: np.full((*np.shape(unmeasured), len(index) + 1), spam.s, dtype=float) for basis in bases}
 
     for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
         frontier = [target for target, _ in selections]
@@ -488,7 +488,7 @@ def run_progressive_etching(
                   for target, selection in selections]
         paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
         probs = {basis: _pipeline(table, paths, spam, basis, labels=frontier) for basis in bases}
-        chains = _index_paths([selection.target_chain for _, selection in selections], index)
+        heads = [index[sel.target_chain[0]] if sel.target_chain else len(index) for _, sel in selections]
         target_rows = [index[target] for target in frontier]
 
         by_basis = {}
@@ -496,15 +496,13 @@ def run_progressive_etching(
             try:
                 ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
                                      f"etch|{round_num}|{basis}", trials)
-                correction = np.full(np.shape(ratio), spam.s, dtype=float)
-                for chain_step in chains.T:  # spam.s times the chain estimates, in chain order
-                    correction = correction * known[basis][..., chain_step]
+                correction = ratios[basis][..., heads]
                 _check_divisor(correction, "chain correction")
             except EstimationError as err:
                 where = f"edge {frontier[err.column]!r}, basis {basis}"
                 raise EstimationError(f"{where}: {err}", err.column) from None
+            ratios[basis][..., target_rows] = ratio
             estimates = ratio / correction
-            known[basis][..., target_rows] = estimates
             by_basis[basis] = estimates.tolist() if trials is None else estimates.T
 
         run.steps.update(dict.fromkeys(frontier, round_num))

@@ -13,7 +13,6 @@ from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_
 from qnt.experiments import (
     CSV_COLUMNS,
     LOSS_FIBER,
-    LOSS_MAX_SLOTS,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
     ExperimentConfig,
@@ -22,6 +21,7 @@ from qnt.experiments import (
     rows_to_csv,
     run_experiment,
 )
+from qnt.lossy import MAX_SLOTS as LOSS_MAX_SLOTS
 from qnt.pauli import PauliChannel
 from qnt.protocols import EstimationError, SpamModel
 
@@ -143,6 +143,19 @@ class TestArgParsing:
         ExperimentConfig("loss", t_send_s=(0.5,), horizon_s=LOSS_MAX_SLOTS / 2)
         with pytest.raises(ValueError, match="gives 100000001 send slots"):
             ExperimentConfig("loss", t_send_s=(0.5,), horizon_s=LOSS_MAX_SLOTS / 2 + 0.5)
+
+    @pytest.mark.parametrize("s", ["1e-12", "9.99e-10"])
+    def test_etch_s_below_the_degenerate_tolerance_is_a_usage_error(self, s, capsys):
+        # a first-round edge divides its ratio by s, so every seed would abort
+        with pytest.raises(SystemExit) as exit_info:
+            main(["etch", "--s", s])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qnt etch " in err
+        assert f"qnt etch: error: etch divides by s, so s must be at least 1e-09, got s={float(s)!r}" in err
+
+    def test_etch_s_at_the_degenerate_tolerance_is_accepted(self):
+        assert ExperimentConfig("etch", s=protocols.DEGENERATE_DENOMINATOR_TOL).s == 1e-9
 
     def test_negative_q_list_as_separate_argument(self, capsys):
         outputs = []

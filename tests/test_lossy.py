@@ -65,6 +65,12 @@ class TestParams:
             Schedule(send_interval_s=2.0, horizon_s=1.0)
         assert Schedule(0.5, 3600.0).n_slots == 7200
 
+    @pytest.mark.parametrize("send_interval_s, horizon_s", [(1e-300, 1e300), (1e-9, 3600.0), (0.5, 5e7 + 0.5)])
+    def test_schedule_past_the_slot_cap_rejected(self, send_interval_s, horizon_s):
+        # the arrival draws would not fit in memory; 1e300 / 1e-300 overflows to inf
+        with pytest.raises(ValueError, match="send slots, more than the cap of 1e\\+08"):
+            Schedule(send_interval_s, horizon_s)
+
 
 class TestSurvival:
     def test_reference_loss_level(self):

@@ -489,37 +489,60 @@ class TestProgressiveEtching:
 # ---------------------------------------------------------------------------
 
 
-def reference_etch(topology, spam, samples, bases, rng_for):
+def reference_sweep(topology, spam, samples, bases, rng_for):
     """The per-trial scalar sweep that one batched sweep replaces: a
-    ``sample_protocol`` draw and a scalar estimate per protocol, then a
-    scalar chain correction.  ``rng_for(label)`` gives the generator of a
-    stream label.  Returns (estimates[edge][basis], steps)."""
+    ``sample_protocol`` draw and a scalar ratio estimate per protocol.
+    ``rng_for(label)`` gives the generator of a stream label.  Yields
+    ``(round_num, target, target_chain, ratios)`` in sweep order, with
+    ``ratios[basis]`` the target's raw ratio."""
     assert network.validate(topology, require_simplified=True) == []
     m_samples, n_samples = samples
-    estimates, steps = {}, {}
+    edges = topology.edges
     for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
         for target, selection in selections:
-            edges = topology.edges
             chain_true = [edges[e].channel for e in selection.target_chain]
             target_true = compose_channels([*chain_true, edges[target].channel])
             a2_true = [edges[e].channel for e in selection.full_a2]
             b_true = [edges[e].channel for e in selection.full_b]
-            per_basis = {}
+            ratios = {}
             for basis in bases:
                 p_merge = mergecast_prob(target_true, a2_true, b_true, spam, basis)
                 p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
                 merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{round_num}|{basis}|merge"))
                 uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{round_num}|{basis}|uni"))
-                ratio = estimate_q_mergecast(merge_out, uni_out)
-                correction = spam.s
-                for chain_edge in selection.target_chain:
-                    correction *= estimates[chain_edge][basis]
-                if abs(correction) < 1e-9:
-                    raise EstimationError(f"edge {target!r}, basis {basis}: chain correction {correction}")
-                per_basis[basis] = ratio / correction
-            estimates[target] = per_basis
-            steps[target] = round_num
+                ratios[basis] = estimate_q_mergecast(merge_out, uni_out)
+            yield round_num, target, selection.target_chain, ratios
+
+
+def reference_etch(topology, spam, samples, bases, rng_for):
+    """:func:`reference_sweep` with each raw ratio divided by the raw ratio of its
+    chain's head, recorded in an earlier round, or by s for an empty chain.
+    Returns (estimates[edge][basis], steps)."""
+    raw, estimates, steps = {}, {}, {}
+    for round_num, target, chain, ratios in reference_sweep(topology, spam, samples, bases, rng_for):
+        per_basis = {}
+        for basis, ratio in ratios.items():
+            correction = raw[chain[0]][basis] if chain else spam.s
+            if abs(correction) < 1e-9:
+                raise EstimationError(f"edge {target!r}, basis {basis}: chain correction {correction}")
+            per_basis[basis] = ratio / correction
+        raw[target] = ratios
+        estimates[target] = per_basis
+        steps[target] = round_num
     return estimates, steps
+
+
+def chain_product_etch(topology, spam, samples, bases, rng_for):
+    """:func:`reference_sweep` with each raw ratio divided by s times the estimates
+    of its chain's edges, in chain order.  Returns (estimates[edge][basis], chain lengths)."""
+    estimates, lengths = {}, {}
+    for _, target, chain, ratios in reference_sweep(topology, spam, samples, bases, rng_for):
+        estimates[target] = {
+            basis: ratio / math.prod((estimates[e][basis] for e in chain), start=spam.s)
+            for basis, ratio in ratios.items()
+        }
+        lengths[target] = len(chain)
+    return estimates, lengths
 
 
 def shared_streams(seed):
@@ -535,16 +558,20 @@ def shared_streams(seed):
     return rng_for
 
 
-def flip_tree(seed: int, n_edges: int) -> Topology:
-    """A seeded tree (internal degree >= 3, monitors on the leaves) whose
-    channels all differ, so an estimate divided by the wrong chain shows."""
+def with_flip_channels(topology: Topology, seed: int) -> Topology:
+    """``topology`` with seeded channels that all differ, so an estimate divided
+    by the wrong chain shows."""
     rng = np.random.default_rng(seed)
-    tree = random_tree(seed, n_edges)
     edges = [
         Edge(e.edge_id, e.node_a, e.node_b, PauliChannel.from_probabilities(*rng.uniform(0.005, 0.04, 3)))
-        for e in tree.edges.values()
+        for e in topology.edges.values()
     ]
-    return Topology(dict(tree.nodes), edges)
+    return Topology(dict(topology.nodes), edges)
+
+
+def flip_tree(seed: int, n_edges: int) -> Topology:
+    """A seeded tree (internal degree >= 3, monitors on the leaves) with flip channels."""
+    return with_flip_channels(random_tree(seed, n_edges), seed)
 
 
 ETCH_SPAM = SpamModel(0.9, 0.95)
@@ -615,6 +642,33 @@ class TestEtchingMatchesReference:
                 assert (row.n_value, row.truth, row.step) == (m_size, truth, sweeps[0][1][row.target])
                 assert row.mse == reference.mse
                 assert row.mse_std == reference.mse_std
+
+    def test_head_ratio_telescopes_the_chain_product(self):
+        # The head's raw ratio estimates s times the chain's product, so dividing by
+        # it agrees with dividing by s times the chain's estimates up to the rounding
+        # of that product, on trees and on the seeded meshes that etch.
+        topologies = [flip_tree(seed, n_edges) for seed, n_edges in ((0, 20), (1, 35), (2, 50), (3, 80), (4, 120))]
+        for seed in range(40):
+            mesh = with_flip_channels(random_mesh(seed, 6 + seed % 15, 1 + seed % 5), seed)
+            try:
+                list(network.etching_rounds(mesh))
+            except BranchSelectionError:
+                continue
+            topologies.append(mesh)
+        assert len(topologies) >= 30
+        longest = 0
+        for topology in topologies:
+            run = run_progressive_etching(topology, ETCH_SPAM, ETCH_SAMPLES, seed=33)
+            expected, lengths = chain_product_etch(topology, ETCH_SPAM, ETCH_SAMPLES, ("Z", "X", "Y"),
+                                                   shared_streams(33))
+            for edge_id, per_basis in expected.items():
+                got = field_values(run.estimates[edge_id])
+                for basis, value in per_basis.items():
+                    if lengths[edge_id] == 0:  # both divide by s
+                        assert got[basis] == value
+                    assert got[basis] == pytest.approx(value, rel=1e-14, abs=0)
+            longest = max(longest, *lengths.values())
+        assert longest >= 3
 
 
 def two_hub_topology() -> Topology:
