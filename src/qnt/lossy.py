@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliChannel, PauliVector1Q, apply_channel
-from .protocols import PERFECT_SPAM, SpamModel, _merge_prob
+from .pauli import PauliChannel, PauliVector1Q
+from .protocols import PERFECT_SPAM, SpamModel, _diagonals, _merge_prob, _physical
 from .stats import substream
 
 TIME_EPS = 1e-9
@@ -100,6 +100,20 @@ def survival_prob(fiber: FiberParams) -> float:
     return (1.0 - fiber.p0) * math.exp(-fiber.alpha_per_km * fiber.length_km)
 
 
+_exp = np.vectorize(math.exp, otypes=[float])  # libm's exp, which np.exp may miss by a last bit
+
+
+def _decay(states: np.ndarray, waits: np.ndarray, memory: MemoryParams) -> np.ndarray:
+    """:func:`decohere` of ``(..., 4)`` states over ``(..., 1)`` waits (s); each state out is checked once."""
+    if (waits < 0).any():
+        raise ValueError("dt must be nonnegative")
+    transverse, longitudinal = _exp(-waits / memory.t2_s), _exp(-waits / memory.t1_s)
+    decayed = states * np.concatenate((np.ones_like(transverse), transverse, transverse, longitudinal), axis=-1)
+    decayed[..., 3:] += 1.0 - longitudinal
+    _physical(decayed)
+    return decayed
+
+
 def decohere(state: PauliVector1Q, dt_s: float, memory: MemoryParams) -> PauliVector1Q:
     """T1/T2 evolution over a storage interval.
 
@@ -107,15 +121,7 @@ def decohere(state: PauliVector1Q, dt_s: float, memory: MemoryParams) -> PauliVe
     relaxes toward the ground state, z -> z exp(-dt/T1) + (1 - exp(-dt/T1)).
     The map is a semigroup in dt and fixes [1, 0, 0, 1] as dt -> infinity.
     """
-    if dt_s < 0:
-        raise ValueError("dt must be nonnegative")
-    transverse = math.exp(-dt_s / memory.t2_s)
-    longitudinal = math.exp(-dt_s / memory.t1_s)
-    return PauliVector1Q.from_bloch(
-        state.x * transverse,
-        state.y * transverse,
-        state.z * longitudinal + (1.0 - longitudinal),
-    )
+    return PauliVector1Q(_decay(state.coeffs, np.array([dt_s], dtype=float), memory))
 
 
 @dataclass(frozen=True)
@@ -143,13 +149,10 @@ def _merge_outcome_prob(
 ) -> np.ndarray:
     """P(outcome 0) per merge, from one merge step over the rows of ``waits``: the
     per-root storage waits ``(wait_0, wait_1)`` of each merge (one pair is one row)."""
-    ch1, ch2, ch3 = channels
-    fresh = (apply_channel(ch1, spam.prepared_state()), apply_channel(ch2, spam.prepared_state()))
-    stored = np.array([
-        [(decohere(qubit, wait, memory) if wait > 0 else qubit).coeffs for qubit, wait in zip(fresh, pair)]
-        for pair in np.reshape(waits, (-1, 2)).tolist()
-    ]).reshape(-1, 2, 4)
-    return _merge_prob(stored[:, 0], stored[:, 1], np.array([[(1.0, *ch3.q)]]), spam.m)
+    diagonals = _diagonals(channels)
+    fresh = np.array([1.0, 0.0, 0.0, spam.s]) * diagonals[:2]  # a qubit from each root, arrived
+    stored = _decay(fresh, np.reshape(waits, (-1, 2, 1)), memory)
+    return _merge_prob(stored[:, 0], stored[:, 1], diagonals[None, 2:3], spam.m)
 
 
 def _pair_gaps(arrived: np.ndarray, k: int) -> np.ndarray:

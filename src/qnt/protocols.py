@@ -5,10 +5,12 @@ progressive-etching driver.
 Every probability here is computed by running the actual state pipeline
 (preparation, channels, CNOT merge, partial trace, measurement) in the
 Pauli-Liouville representation, never by a closed-form shortcut; the
-closed forms quoted in the tests serve as independent pins.  The unicast,
-merge and mergecast pipelines run on rows: ``(k, 4)`` states, sent through
-``(k, L, 4)`` PTM diagonals padded with rows of ones, so that one call
-computes a whole etching round.
+closed forms quoted in the tests serve as independent pins.  Every
+pipeline runs on rows: ``(k, 4)`` states, sent through ``(k, L, 4)`` PTM
+diagonals padded with rows of ones, so that one call computes a whole
+etching round.  Unicast, mergecast and the s and bypass protocols are
+one-row calls of it (a bypassed channel is a row dressed by its
+``bypass_dressing``); the m protocol sends rows and merges them by ``_cnot``.
 
 Conventions:
 
@@ -41,12 +43,10 @@ from .pauli import (
     NonPhysicalStateError,
     PauliChannel,
     PauliVector1Q,
-    apply_channel,
-    apply_cnot,
+    PauliVector2Q,
     bypass_dressing,
     dress_channel,
     joint_z_measurement_probs,
-    tensor,
 )
 from .stats import substream
 
@@ -139,8 +139,8 @@ def _index_paths(paths: Sequence[Sequence[str]], index: dict) -> np.ndarray:
 
 def _physical(states: np.ndarray) -> None:
     """Raise unless every row of ``states`` passes the checks that ``PauliVector1Q`` makes of one."""
-    if (np.abs(states[:, 0] - 1.0) > ATOL).any():
-        raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {states[:, 0]}")
+    if (np.abs(states[..., 0] - 1.0) > ATOL).any():
+        raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {states[..., 0]}")
     r2 = (states * states) @ _BLOCH_SQUARES
     if (r2 > 1.0 + ATOL).any():
         raise NonPhysicalStateError(f"Bloch vector norm^2 = {r2.max()} exceeds 1")
@@ -159,14 +159,19 @@ def _prob_zero(states: np.ndarray, m: float) -> np.ndarray:
     return (1.0 + m * states[..., 3]) / 2.0
 
 
+def _cnot(control: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The 16 coefficients per row of the product of ``control`` and ``target`` after a
+    CNOT from the first onto the second, as :func:`pauli.apply_cnot` of their ``tensor``."""
+    source, sign = _CNOT_GATHER_FIRST
+    return sign * (control[:, :, None] * target[:, None, :]).reshape(-1, 16)[:, source]
+
+
 def _merge_prob(control: np.ndarray, target: np.ndarray, relay: np.ndarray, m: float,
                 visited: Optional[list] = None) -> np.ndarray:
     """P(outcome 0) per row after the merge step: CNOT from ``control`` onto ``target``,
     discard the control, send the target down ``relay`` (diagonals) and measure it.
     The states it passes through go to ``visited`` if given, else are checked here."""
-    source, sign = _CNOT_GATHER_FIRST
-    pair = sign * (control[:, :, None] * target[:, None, :]).reshape(-1, 16)[:, source]
-    states = [pair[:, :4]]  # the partial trace keeps the I (x) Q coefficients
+    states = [_cnot(control, target)[:, :4]]  # the partial trace keeps the I (x) Q coefficients
     relayed = _send(states[0], relay, states)
     if visited is None:
         _physical(np.concatenate(states))
@@ -277,17 +282,6 @@ def mergecast_prob(
     return _one_row((target,), branch_a2, branch_b, spam, basis, "mergecast")[0]
 
 
-def _send_qubit(state: PauliVector1Q, channels: Iterable[PauliChannel]) -> PauliVector1Q:
-    for ch in channels:
-        state = apply_channel(ch, state)
-    return state
-
-
-def _bypassed_send(channels: Sequence[PauliChannel], spam: SpamModel) -> PauliVector1Q:
-    """A prepared qubit sent through ``channels``, each dressed to pass Z unchanged."""
-    return _send_qubit(spam.prepared_state(), (dress_channel(ch, bypass_dressing(ch)) for ch in channels))
-
-
 def bypass_unicast_prob(
     bypassed: Sequence[PauliChannel],
     target: PauliChannel,
@@ -298,9 +292,10 @@ def bypass_unicast_prob(
     Each bypassed channel is sandwiched by the gates that move its unit
     Pauli parameter into the Z slot, so the Z-axis qubit traverses it
     unchanged and only the target attenuates: p = (1 + m s q_Z,target)/2.
-    Raises for non-bypassable channels in ``bypassed``.
+    Raises for non-bypassable channels in ``bypassed`` and for a zero q_Z target.
     """
-    return float(_prob_zero(apply_channel(target, _bypassed_send(bypassed, spam)).coeffs, spam.m))
+    dressed = [dress_channel(ch, bypass_dressing(ch)) for ch in bypassed]
+    return _one_row((), (), [*dressed, target], spam, "Z", "bypass unicast")[1]
 
 
 def spam_s_protocol_prob(path: Sequence[PauliChannel], spam: SpamModel) -> float:
@@ -329,10 +324,11 @@ def spam_m_protocol_probs(
     """
     if not path_a or not path_b:
         raise ProtocolError("both paths must be nonempty")
-    qubit_a = _send_qubit(spam.prepared_state(), path_a)
-    qubit_b = _send_qubit(spam.prepared_state(), path_b)
-    pair = apply_cnot(tensor(qubit_b, qubit_a), control="first")
-    p00, p01, p10, p11 = joint_z_measurement_probs(pair, m=spam.m)
+    visited: list = []
+    prepared = np.array([[1.0, 0.0, 0.0, spam.s]])
+    qubit_a, qubit_b = (_send(prepared, _diagonals(path)[None, :-1], visited) for path in (path_a, path_b))
+    _physical(np.concatenate(visited))
+    p00, p01, p10, p11 = joint_z_measurement_probs(PauliVector2Q(_cnot(qubit_b, qubit_a)[0]), m=spam.m)
     return (p00, p01, p10, p11, p00 + p11)
 
 
@@ -342,7 +338,7 @@ def spam_ms_bypass_prob(bypassed_path: Sequence[PauliChannel], spam: SpamModel) 
     Requires every channel on the path to be bypassable; the result is then
     independent of their flip probabilities.
     """
-    return float(_prob_zero(_bypassed_send(bypassed_path, spam).coeffs, spam.m))
+    return bypass_unicast_prob(bypassed_path, PauliChannel.identity(), spam)
 
 
 def sample_protocol(

@@ -16,11 +16,12 @@ from qnt.lossy import (
     run_loss_experiment,
     survival_prob,
 )
-from qnt.pauli import ATOL, PauliChannel, PauliVector1Q
+from qnt.pauli import ATOL, PauliChannel, PauliVector1Q, apply_channel
 from qnt.protocols import PERFECT_SPAM, SpamModel
 from qnt.stats import substream
 
-from conftest import random_state
+from conftest import random_channel, random_state
+from test_protocols import bits, reference_merge_prob
 
 STAR = (
     PauliChannel(0.5, 0.5, 0.5),
@@ -209,6 +210,62 @@ class TestRunLossExperiment:
         a = run_loss_experiment(STAR, REFERENCE_FIBER, memory(0.75), sched, seed=12)
         b = run_loss_experiment(STAR, REFERENCE_FIBER, memory(0.75), sched, seed=12)
         assert a == b
+
+
+def reference_decohere(state, dt_s, memory):
+    """T1/T2 decay of one ``PauliVector1Q``, the formula that the row decay replaces."""
+    transverse = math.exp(-dt_s / memory.t2_s)
+    longitudinal = math.exp(-dt_s / memory.t1_s)
+    return PauliVector1Q.from_bloch(state.x * transverse, state.y * transverse,
+                                    state.z * longitudinal + (1.0 - longitudinal))
+
+
+def reference_merge_outcome_prob(channels, waits, memory, spam):
+    """The per-merge object pipeline that the row merge step replaces: each root's qubit
+    crosses its channel, decays over its wait unless that is zero, and one merge step
+    per pair relays the result down the third channel."""
+    ch1, ch2, ch3 = channels
+    fresh = (apply_channel(ch1, spam.prepared_state()), apply_channel(ch2, spam.prepared_state()))
+    return np.array([
+        reference_merge_prob(*(reference_decohere(qubit, wait, memory) if wait > 0 else qubit
+                               for qubit, wait in zip(fresh, pair)), [ch3], spam.m)
+        for pair in np.reshape(waits, (-1, 2)).tolist()
+    ])
+
+
+def random_memory(rng) -> MemoryParams:
+    t1 = 0.05 + 2.0 * rng.random()
+    return MemoryParams(t1_s=t1, t2_s=2.0 * t1 * (0.01 + 0.99 * rng.random()), cutoff_s=1.0)
+
+
+class TestRowDecayMatchesObjectReference:
+    def test_decohere_bit_for_bit(self):
+        rng = np.random.default_rng(2203)
+        for case in range(400):
+            state, mem = random_state(rng), random_memory(rng)
+            dt = (0.0, rng.random(), 10.0 * rng.random(), 1e9)[case % 4]
+            assert decohere(state, dt, mem).coeffs.tobytes() == reference_decohere(state, dt, mem).coeffs.tobytes()
+
+    def test_merge_outcome_prob_bit_for_bit(self):
+        rng = np.random.default_rng(2207)
+        zero_waits = 0
+        for case in range(200):
+            channels = tuple(random_channel(rng, nonzero=True) for _ in range(3))
+            spam = SpamModel(rng.random(), rng.random()) if case % 3 else PERFECT_SPAM
+            gaps = rng.integers(-30, 31, rng.integers(1, 40))  # gap 0: neither qubit waits
+            dt = (0.01, 0.1, 0.5)[case % 3]
+            waits = np.column_stack((np.maximum(gaps, 0) * dt, np.maximum(-gaps, 0) * dt))
+            zero_waits += int(np.count_nonzero(gaps == 0))
+            mem = random_memory(rng)
+            got = lossy._merge_outcome_prob(channels, waits, mem, spam)
+            assert got.shape == (len(gaps),)
+            assert list(map(bits, got)) == list(map(bits, reference_merge_outcome_prob(channels, waits, mem, spam)))
+        assert zero_waits > 50
+
+    def test_no_waits_give_no_probabilities(self):
+        # a trial that receives nothing passes a size-0 waits array
+        got = lossy._merge_outcome_prob(STAR, np.zeros((0, 2)), memory(1.0), SpamModel(0.9, 0.8))
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 def reference_pair_gaps(arrived, k):

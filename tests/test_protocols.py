@@ -18,8 +18,10 @@ from qnt.pauli import (
     PauliVector1Q,
     apply_channel,
     apply_cnot,
+    bypass_dressing,
     compose_channels,
     dress_channel,
+    joint_z_measurement_probs,
     partial_trace,
     tensor,
 )
@@ -198,6 +200,13 @@ class TestBypassUnicast:
         spam = SpamModel(0.9, 0.8)
         got = bypass_unicast_prob([PauliChannel.bit_flip(0.2)], uniform_channel(0.4), spam)
         assert got == pytest.approx((1 + 0.9 * 0.8 * 0.4) / 2, abs=ATOL)
+
+    def test_target_with_zero_q_z_rejected(self):
+        # the route runs through the state pipeline, which rejects a zero parameter as unicast does
+        expected = r"^bypass unicast: channel with zero Z parameter cannot be characterized$"
+        for bypassed in ([], [PauliChannel.bit_flip(0.2)]):
+            with pytest.raises(ProtocolError, match=expected):
+                bypass_unicast_prob(bypassed, PauliChannel(0.5, 0.5, 0.0), SpamModel(0.9, 0.8))
 
 
 class TestSpamProtocols:
@@ -825,8 +834,34 @@ def reference_mergecast_prob(target, branch_a2, branch_b, spam, basis):
     return reference_merge_prob(control, merged, dressed[split:], spam.m)
 
 
+def reference_bypassed_send(channels, spam):
+    """A prepared qubit sent through ``channels``, each dressed to pass Z unchanged."""
+    return reference_send(spam.prepared_state(), [dress_channel(ch, bypass_dressing(ch)) for ch in channels])
+
+
+def reference_bypass_unicast_prob(bypassed, target, spam):
+    return (1.0 + spam.m * apply_channel(target, reference_bypassed_send(bypassed, spam)).z) / 2.0
+
+
+def reference_spam_ms_bypass_prob(bypassed_path, spam):
+    return (1.0 + spam.m * reference_bypassed_send(bypassed_path, spam).z) / 2.0
+
+
+def reference_spam_m_protocol_probs(path_a, path_b, spam):
+    qubit_a = reference_send(spam.prepared_state(), path_a)
+    qubit_b = reference_send(spam.prepared_state(), path_b)
+    p00, p01, p10, p11 = joint_z_measurement_probs(apply_cnot(tensor(qubit_b, qubit_a), control="first"), m=spam.m)
+    return (p00, p01, p10, p11, p00 + p11)
+
+
 def bits(value) -> bytes:
     return np.float64(value).tobytes()
+
+
+def bypassable_channel(rng) -> PauliChannel:
+    """A random channel that mixes the identity with one Pauli, so one q is exactly 1."""
+    make = (PauliChannel.bit_flip, PauliChannel.phase_flip, PauliChannel.bit_phase_flip)[rng.integers(3)]
+    return make(rng.random())
 
 
 def near_pauli_channel(rng) -> PauliChannel:
@@ -865,10 +900,29 @@ class TestRowPipelineMatchesObjectPipeline:
             assert got.shape == (1,) and bits(got[0]) == bits(reference_merge_prob(control, target, branch_b, spam.m))
         assert negative > 200  # negative q values are covered
 
+    def test_300_seeded_bypass_and_spam_m_cases_bit_for_bit(self):
+        rng = np.random.default_rng(1307)
+        negative = 0
+        for case in range(300):
+            bypassed = [bypassable_channel(rng) for _ in range(case % 7)]  # an empty route every 7th case
+            make = near_pauli_channel if case % 2 else functools.partial(random_channel, nonzero=True)
+            target = make(rng)
+            spam = SpamModel(rng.random(), rng.random())
+            negative += any(q < 0 for ch in bypassed for q in ch.q)
+            got = bypass_unicast_prob(bypassed, target, spam)
+            assert bits(got) == bits(reference_bypass_unicast_prob(bypassed, target, spam))
+            assert bits(spam_ms_bypass_prob(bypassed, spam)) == bits(reference_spam_ms_bypass_prob(bypassed, spam))
+            path_a, path_b = ([make(rng) for _ in range(rng.integers(1, 9))] for _ in range(2))
+            got = spam_m_protocol_probs(path_a, path_b, spam)
+            assert list(map(bits, got)) == list(map(bits, reference_spam_m_protocol_probs(path_a, path_b, spam)))
+        assert negative > 100  # bypassed channels with negative q are covered
+
     def test_one_row_callers_return_floats(self):
         spam = SpamModel(0.9, 0.8)
         for value in (mergecast_prob(*STAR[:1], [STAR[1]], [STAR[2]], spam), unicast_prob(STAR, spam),
-                      spam_s_protocol_prob(STAR, spam), *merge_and_unicast_probs([STAR[0]], [], STAR[1:], spam)):
+                      spam_s_protocol_prob(STAR, spam), *merge_and_unicast_probs([STAR[0]], [], STAR[1:], spam),
+                      bypass_unicast_prob([PauliChannel.bit_flip(0.2)], STAR[0], spam),
+                      spam_ms_bypass_prob([PauliChannel.bit_flip(0.2)], spam), *spam_m_protocol_probs(STAR, STAR, spam)):
             assert type(value) is float
 
     def test_merge_and_unicast_probs_is_one_row_of_both(self, rng):
@@ -925,13 +979,17 @@ def assert_rounds_match_per_target_reference(calls, topology, spam, bases):
     assert next(calls, None) is None
 
 
+def with_random_channels(topology: Topology, seed: int, min_q: float) -> Topology:
+    """``topology`` with seeded random general Pauli channels, every |q| >= ``min_q``, many q negative."""
+    rng = np.random.default_rng(seed)
+    edges = [Edge(e.edge_id, e.node_a, e.node_b, random_channel(rng, nonzero=True, min_q=min_q))
+             for e in topology.edges.values()]
+    return Topology(dict(topology.nodes), edges)
+
+
 def random_channel_mesh(seed: int) -> Topology:
     """A seeded mesh whose channels are random general Pauli channels, many with negative q."""
-    rng = np.random.default_rng(seed)
-    mesh = random_mesh(seed, 6 + seed % 15, 1 + seed % 5)
-    edges = [Edge(e.edge_id, e.node_a, e.node_b, random_channel(rng, nonzero=True, min_q=0.5))
-             for e in mesh.edges.values()]
-    return Topology(dict(mesh.nodes), edges)
+    return with_random_channels(random_mesh(seed, 6 + seed % 15, 1 + seed % 5), seed, min_q=0.5)
 
 
 class TestRoundKernelMatchesPerTargetReference:
@@ -950,6 +1008,44 @@ class TestRoundKernelMatchesPerTargetReference:
             except BranchSelectionError:
                 continue
             assert_rounds_match_per_target_reference(calls, topology, ETCH_SPAM, ("Z", "X", "Y"))
+            etched += 1
+        assert etched >= 25
+
+
+EXACT_SPAM = SpamModel(0.91, 0.96)
+
+
+def exactly_etched(monkeypatch, topology: Topology) -> dict:
+    """The (q_X, q_Y, q_Z) estimates per edge of an etching sweep whose ratios are the
+    estimator applied to the pipeline's exact probabilities, with no sampling."""
+    monkeypatch.setattr(protocols, "sample_ratio", lambda estimator, p_num, p_uni, *args: estimator(p_num, p_uni))
+    run = run_progressive_etching(topology, EXACT_SPAM, (1, 1), seed=0, bases=("Z", "X", "Y"))
+    return {edge_id: (est.q_x, est.q_y, est.q_z) for edge_id, est in run.estimates.items()}
+
+
+class TestExactIdentification:
+    """On exact probabilities, etching returns every parameter of every edge in all three bases."""
+
+    def assert_identified(self, monkeypatch, topology: Topology) -> int:
+        """Assert every q to 1e-12 and return how many edges have a negative q."""
+        estimates = exactly_etched(monkeypatch, topology)
+        assert set(estimates) == set(topology.edges)
+        for edge_id, edge in topology.edges.items():
+            assert_allclose(estimates[edge_id], edge.channel.q, rtol=0, atol=1e-12, err_msg=edge_id)
+        return sum(min(edge.channel.q) < 0 for edge in topology.edges.values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_trees(self, monkeypatch, seed):
+        topology = with_random_channels(random_tree(seed, 80), seed, min_q=0.3)
+        assert self.assert_identified(monkeypatch, topology) > len(topology.edges) // 2
+
+    def test_seeded_meshes_that_etch(self, monkeypatch):
+        etched = 0
+        for seed in range(40):
+            try:
+                self.assert_identified(monkeypatch, random_channel_mesh(seed))
+            except BranchSelectionError:
+                continue
             etched += 1
         assert etched >= 25
 
