@@ -3,8 +3,8 @@
 Each driver sweeps a sample-size (or timing) grid, estimates ``trials``
 times per cell (a ratio cell draws them from one substream per protocol,
 etching from one per round, basis and protocol, ``loss`` from one seed per
-trial), and emits one CSV row per cell (per edge, for etching).  The fixed
-column prefix is
+trial), and emits one CSV row per cell (per edge, for etching).  The
+header is the fields of :class:`Row`, a fixed prefix
 
     experiment,M,N,s,m,truth,mse,mse_std,crb,runtime_ms,seed
 
@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,24 +30,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import lossy, network, protocols, stats, topo_io
 from .pauli import ChannelValidationError, PauliChannel
 from .protocols import SpamModel
-
-CSV_COLUMNS = (
-    "experiment",
-    "M",
-    "N",
-    "s",
-    "m",
-    "truth",
-    "mse",
-    "mse_std",
-    "crb",
-    "runtime_ms",
-    "seed",
-    "target",
-    "step",
-    "t_send_s",
-    "t_cutoff_s",
-)
 
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
@@ -66,7 +49,8 @@ class ExperimentConfig:
     An unknown experiment and out-of-range values, including a negative seed,
     a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
     rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that
-    cannot be read or etched, and an etch ``s`` too small to divide by raise ``ValueError``."""
+    cannot be read or etched, an etch ``s`` too small to divide by, and an output
+    path that is a directory or in no existing directory raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -101,6 +85,10 @@ class ExperimentConfig:
             self.n_samples = default
         if min(self.m_samples + self.n_samples) < 1:
             raise ValueError("sample sizes must be at least 1")
+        if self.output_path and os.path.isdir(self.output_path):
+            raise ValueError(f"output path {self.output_path!r} is a directory")
+        if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
+            raise ValueError(f"output path {self.output_path!r} is in no existing directory")
         needed = _Q_PARAMS_READ[self.experiment]
         if len(self.q_params) < needed:
             raise ValueError(
@@ -163,8 +151,8 @@ class ExperimentConfig:
 
 class Row(NamedTuple):
     experiment: str
-    m_value: float
-    n_value: float
+    M: float
+    N: float
     s: float
     m: float
     truth: float
@@ -179,11 +167,14 @@ class Row(NamedTuple):
     t_cutoff_s: Optional[float] = None
 
 
+CSV_COLUMNS = Row._fields
+
+
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
     # fields(), not asdict() (a deep copy) or vars() (which holds the cached topology)
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
-    # Row fields are in CSV_COLUMNS order; a numpy float64 is a float, and a NaN prints as nan
+    # a numpy float64 is a float, and a NaN prints as nan
     lines += [
         ",".join(["" if cell is None else f"{cell:.17g}" if isinstance(cell, float) else str(cell)
                   for cell in row])

@@ -213,20 +213,22 @@ class EquivalentChannel:
     composite: PauliChannel
 
 
-def _is_chain_interior(topology: Topology, node: str) -> bool:
-    return not topology.is_monitor(node) and topology.degree(node) == 2
-
-
 def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChannel]]:
     """Contract every maximal path of degree-2 internal nodes.
 
     Each contracted path becomes a single edge whose channel is the ordered
     composite of its members; edge count is conserved in the sense that
-    original edges = surviving simple edges + sum of path lengths.  A cycle
+    original edges = surviving simple edges + sum of path lengths.  A chain
+    interior is an internal node with two distinct edges, so a node whose
+    only edge is a self-loop stays for :func:`validate` to report.  A cycle
     made entirely of degree-2 nodes has no anchoring endpoint and is
     rejected.  A topology with nothing to contract comes back as it is.
     """
-    if not any(_is_chain_interior(topology, node) for node in topology.nodes):
+    interior = {
+        node for node, kind in topology.nodes.items()
+        if kind == INTERNAL and topology.degree(node) == 2 and len(topology.incident_edges(node)) == 2
+    }
+    if not interior:
         return topology, []
     consumed: set[str] = set()
     equivalents: list[EquivalentChannel] = []
@@ -236,56 +238,35 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
         if edge_id in consumed:
             continue
         edge = topology.edges[edge_id]
-        if not (_is_chain_interior(topology, edge.node_a) or _is_chain_interior(topology, edge.node_b)):
+        if edge.node_a not in interior and edge.node_b not in interior:
             surviving.append(edge)
-            consumed.add(edge_id)
             continue
-        # Walk to both ends of the maximal chain through degree-2 interiors.
+        # Walk to both ends of the chain, leaving each interior by its other
+        # edge; such a walk can only come back to edge_id, round a pure cycle.
         ends = []
-        for direction in (edge.node_a, edge.node_b):
-            node, prev_edge = direction, edge_id
-            segment = []
-            while _is_chain_interior(topology, node):
-                incident = [e for e in topology.incident_edges(node) if e != prev_edge]
-                if len(incident) != 1:
-                    raise TopologyError(f"inconsistent degree bookkeeping at node {node!r}")
-                prev_edge = incident[0]
+        for node in (edge.node_a, edge.node_b):
+            prev_edge, segment = edge_id, []
+            while node in interior:
+                first, second = topology.incident_edges(node)
+                prev_edge = second if prev_edge == first else first
+                if prev_edge == edge_id:
+                    raise TopologyError("cycle composed entirely of degree-2 nodes is unsupported")
                 segment.append(prev_edge)
                 node = topology.edges[prev_edge].other(node)
-                if prev_edge == edge_id or prev_edge in segment[:-1]:
-                    raise TopologyError(
-                        "cycle composed entirely of degree-2 nodes is unsupported"
-                    )
             ends.append((node, segment))
         (end_a, seg_a), (end_b, seg_b) = ends
-        if set(seg_a) & set(seg_b):
-            raise TopologyError("cycle composed entirely of degree-2 nodes is unsupported")
         if end_a == end_b:
             # A degree-2 cycle hanging off a single anchor would contract to
             # a self-loop, which no protocol can characterize.
-            raise TopologyError(
-                f"degree-2 cycle attached to node {end_a!r} is unsupported"
-            )
+            raise TopologyError(f"degree-2 cycle attached to node {end_a!r} is unsupported")
         ordered = [*reversed(seg_a), edge_id, *seg_b]
         consumed.update(ordered)
         composite = compose_channels(topology.edges[member].channel for member in ordered)
         equivalents.append(EquivalentChannel(tuple(ordered), end_a, end_b, composite))
 
-    new_nodes = {n: k for n, k in topology.nodes.items()}
-    interior = {
-        n
-        for eq in equivalents
-        for member in eq.edge_ids
-        for n in topology.edges[member].endpoints
-        if n not in (eq.node_a, eq.node_b)
-    }
-    for n in interior:
-        new_nodes.pop(n)
-    new_edges = list(surviving)
-    for eq in equivalents:
-        new_id = "+".join(eq.edge_ids)
-        new_edges.append(Edge(new_id, eq.node_a, eq.node_b, eq.composite))
-    return Topology(new_nodes, new_edges), equivalents
+    nodes = {n: kind for n, kind in topology.nodes.items() if n not in interior}
+    contracted = (Edge("+".join(eq.edge_ids), eq.node_a, eq.node_b, eq.composite) for eq in equivalents)
+    return Topology(nodes, [*surviving, *contracted]), equivalents
 
 
 @dataclass
@@ -425,7 +406,6 @@ def select_mergecast_branches(
     if len(candidates) == 2:
         candidates.sort(key=lambda pair: topology._keys[pair[0]])
 
-    last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
         target_chain = chains[outer]
         reserved = {target}.union(target_chain)

@@ -12,6 +12,7 @@ from qnt import lossy, protocols, stats
 from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_spam_grid
 from qnt.experiments import (
     CSV_COLUMNS,
+    DRIVERS,
     LOSS_FIBER,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
@@ -263,8 +264,17 @@ class TestArgParsing:
                 "cannot be etched: [self-loop] E9: channel starts and ends at one node; "
                 "[self-loop] E10: channel starts and ends at one node\n",
             ),
+            (
+                # X's only edge is a self-loop: X is no chain interior, so it stays for validate
+                "node H internal\nnode X internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge E1 H M1 0.8 0.8 0.8\nedge E2 H M2 0.8 0.8 0.8\nedge E3 H M3 0.8 0.8 0.8\n"
+                "edge L X X 0.8 0.8 0.8\n",
+                "cannot be etched: [connectivity] X: node is not connected to the rest; "
+                "[self-loop] L: channel starts and ends at one node",
+            ),
         ],
-        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "self-loops"],
+        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "self-loops",
+             "self-loop-only-node"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.topo"
@@ -276,6 +286,23 @@ class TestArgParsing:
         err = capsys.readouterr().err
         assert "usage: qnt etch " in err and "qnt etch: error: " in err and message in err
         assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [("out_dir", "is a directory"), ("out_dir/no/such/dir/x.csv", "is in no existing directory")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_bad_out_is_a_usage_error_before_the_run(self, tmp_path, capsys, monkeypatch, where,
+                                                     message):
+        (tmp_path / "out_dir").mkdir()
+        out = str(tmp_path / where)
+        monkeypatch.setitem(DRIVERS, "star", lambda cfg: pytest.fail("the grid ran"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["star", "--out", out])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"qnt star: error: output path {out!r} {message}" in err
+        assert err.count(out) == 1
 
     @pytest.mark.parametrize("name", ["star", "sweep", "spam-s", "spam-m", "etch", "loss"])
     def test_every_option_names_a_config_field(self, name):
@@ -290,16 +317,15 @@ class TestArgParsing:
 
     def test_row_values_land_in_their_named_columns(self):
         values = dict(
-            experiment="x", m_value=1, n_value=2, s=3.5, m=4.5, truth=5.5, mse=6.5,
+            experiment="x", M=1, N=2, s=3.5, m=4.5, truth=5.5, mse=6.5,
             mse_std=7.5, crb=8.5, runtime_ms=9.5, seed=10, target="t", step=11,
             t_send_s=12.5, t_cutoff_s=13.5,
         )
         text = rows_to_csv(small_cfg(), [Row(**values)])
         line = dict(zip(CSV_COLUMNS, text.splitlines()[2].split(",")))
-        field_of = {"M": "m_value", "N": "n_value"}
         assert len(values) == len(CSV_COLUMNS)
         for column in CSV_COLUMNS:
-            assert line[column] == str(values[field_of.get(column, column)])
+            assert line[column] == str(values[column])
 
     def test_row_cells_keep_their_bytes(self):
         # a numpy float64 is a float: 17 significant digits, like a Python float
@@ -404,7 +430,7 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert rows[0].t_cutoff_s == 0.05 and rows[1].t_cutoff_s == 0.35
         # identical arrival streams with both cutoffs below the send interval
-        assert rows[0].m_value == rows[1].m_value
+        assert rows[0].M == rows[1].M
         assert rows[0].mse == rows[1].mse
         # each row aggregates a direct loop over the per-trial seeds
         channels = tuple(PauliChannel(q, q, q) for q in cfg.q_params)
@@ -416,15 +442,15 @@ class TestRunExperiment:
                                           seed=_trial_seed(cfg, "loss", trial))
                 for trial in range(cfg.trials)
             ]
-            assert row.m_value == sum(r.merged_count for r in results) / cfg.trials
-            assert row.n_value == sum(r.received_count for r in results) / cfg.trials
+            assert row.M == sum(r.merged_count for r in results) / cfg.trials
+            assert row.N == sum(r.received_count for r in results) / cfg.trials
             reference = stats.aggregate_mse([r.estimate for r in results], row.truth)
             assert row.truth == 0.5
             assert (row.mse, row.mse_std) == (reference.mse, reference.mse_std)
 
     def test_star_mse_decreases_with_samples(self):
         cfg = small_cfg(trials=150, m_samples=(2000, 10000), n_samples=(2000, 10000))
-        rows = {(row.m_value, row.n_value): row.mse for row in run_experiment(cfg)}
+        rows = {(row.M, row.N): row.mse for row in run_experiment(cfg)}
         # more samples on either side can only help
         assert rows[(10000, 10000)] < rows[(2000, 2000)]
         assert rows[(10000, 10000)] < rows[(2000, 10000)]
@@ -566,13 +592,13 @@ class TestRatioCell:
         rows = run_experiment(cfg)
         assert len(rows) == 2
         for row in rows:
-            cell = f"{stream}|{row.m_value}|{row.n_value}|"
+            cell = f"{stream}|{row.M}|{row.N}|"
             num_rng = stats.substream(cfg.seed, cell + numerator, 0)
             uni_rng = stats.substream(cfg.seed, cell + "uni", 0)
             estimates = [
                 estimator(
-                    protocols.sample_protocol(p_num, row.m_value, num_rng),
-                    protocols.sample_protocol(p_uni, row.n_value, uni_rng),
+                    protocols.sample_protocol(p_num, row.M, num_rng),
+                    protocols.sample_protocol(p_uni, row.N, uni_rng),
                 )
                 / divisor
                 for _ in range(cfg.trials)

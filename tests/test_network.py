@@ -9,6 +9,7 @@ from qnt.network import (
     BranchSelection,
     BranchSelectionError,
     Edge,
+    EquivalentChannel,
     EtchingState,
     Topology,
     TopologyError,
@@ -19,7 +20,7 @@ from qnt.network import (
     simplify_degree2,
     validate,
 )
-from qnt.pauli import PauliChannel
+from qnt.pauli import PauliChannel, compose_channels
 from qnt.protocols import SpamModel
 from qnt.topo_io import bundled_topology, load_topology
 from tests_support_chain import build_chain_heavy_topology
@@ -125,6 +126,118 @@ class TestValidate:
         assert any(v.rule == "internal-degree" for v in validate(topo, require_simplified=True))
 
 
+def reference_simplify_degree2(topology: Topology):
+    """The former :func:`simplify_degree2`, which re-derived each interior node's
+    other edge, re-checked its walks and recomputed the interior nodes."""
+
+    def is_chain_interior(node):
+        return not topology.is_monitor(node) and topology.degree(node) == 2
+
+    if not any(is_chain_interior(node) for node in topology.nodes):
+        return topology, []
+    consumed = set()
+    equivalents = []
+    surviving = []
+    for edge_id in topology.sorted_edge_ids():
+        if edge_id in consumed:
+            continue
+        edge = topology.edges[edge_id]
+        if not (is_chain_interior(edge.node_a) or is_chain_interior(edge.node_b)):
+            surviving.append(edge)
+            consumed.add(edge_id)
+            continue
+        ends = []
+        for direction in (edge.node_a, edge.node_b):
+            node, prev_edge = direction, edge_id
+            segment = []
+            while is_chain_interior(node):
+                incident = [e for e in topology.incident_edges(node) if e != prev_edge]
+                if len(incident) != 1:
+                    raise TopologyError(f"inconsistent degree bookkeeping at node {node!r}")
+                prev_edge = incident[0]
+                segment.append(prev_edge)
+                node = topology.edges[prev_edge].other(node)
+                if prev_edge == edge_id or prev_edge in segment[:-1]:
+                    raise TopologyError("cycle composed entirely of degree-2 nodes is unsupported")
+            ends.append((node, segment))
+        (end_a, seg_a), (end_b, seg_b) = ends
+        if set(seg_a) & set(seg_b):
+            raise TopologyError("cycle composed entirely of degree-2 nodes is unsupported")
+        if end_a == end_b:
+            raise TopologyError(f"degree-2 cycle attached to node {end_a!r} is unsupported")
+        ordered = [*reversed(seg_a), edge_id, *seg_b]
+        consumed.update(ordered)
+        composite = compose_channels(topology.edges[member].channel for member in ordered)
+        equivalents.append(EquivalentChannel(tuple(ordered), end_a, end_b, composite))
+    new_nodes = {n: k for n, k in topology.nodes.items()}
+    interior = {
+        n
+        for eq in equivalents
+        for member in eq.edge_ids
+        for n in topology.edges[member].endpoints
+        if n not in (eq.node_a, eq.node_b)
+    }
+    for n in interior:
+        new_nodes.pop(n)
+    new_edges = list(surviving)
+    for eq in equivalents:
+        new_edges.append(Edge("+".join(eq.edge_ids), eq.node_a, eq.node_b, eq.composite))
+    return Topology(new_nodes, new_edges), equivalents
+
+
+def random_multigraph(seed: int) -> Topology:
+    """A small seeded multigraph of internal and monitor nodes: random edges
+    (parallel edges and self-loops among them) plus, at random, degree-2
+    chains between existing nodes, pure degree-2 cycles, lollipops (a degree-2
+    cycle off one node) and internal nodes whose only edge is a self-loop.
+    Names are shuffled so natural order differs from insertion order."""
+    rng = random.Random(seed)
+    kinds = {}
+    links = []
+
+    def new_node(kind="internal"):
+        name = f"N{rng.randrange(10**4)}"
+        while name in kinds:
+            name += "x"
+        kinds[name] = kind
+        return name
+
+    for _ in range(rng.randrange(1, 8)):
+        new_node(rng.choice(("internal", "internal", "monitor")))
+    for _ in range(rng.randrange(0, 9)):
+        links.append((rng.choice(list(kinds)), rng.choice(list(kinds))))
+    for _ in range(rng.randrange(0, 3)):
+        start = end = rng.choice(list(kinds))
+        motif = rng.choice(("chain", "chain", "cycle", "lollipop", "self-loop-only"))
+        if motif == "chain":
+            end = rng.choice(list(kinds))
+        elif motif == "cycle":
+            start = end = new_node()
+        elif motif == "self-loop-only":
+            node = new_node()
+            links.append((node, node))
+            continue
+        previous = start
+        for _ in range(rng.randrange(1, 4)):
+            relay = new_node()
+            links.append((previous, relay))
+            previous = relay
+        links.append((previous, end))
+    numbers = rng.sample(range(10 * len(links) + 1), len(links))
+    return Topology(kinds, [Edge(f"E{k}", a, b, PauliChannel(*[rng.uniform(0.1, 1.0)] * 3))
+                            for k, (a, b) in zip(numbers, links)])
+
+
+def self_loop_only_nodes(topology: Topology) -> set:
+    return {node for node, kind in topology.nodes.items() if kind == "internal"
+            and [topology.edges[e].endpoints for e in topology.incident_edges(node)] == [{node}]}
+
+
+def edge_rows(topology: Topology) -> list:
+    return [(e.edge_id, e.node_a, e.node_b, e.channel.q_x, e.channel.q_y, e.channel.q_z)
+            for e in topology.edges.values()]
+
+
 class TestSimplifyDegree2:
     def test_no_degree2_unchanged(self):
         topo = star3()
@@ -210,6 +323,59 @@ class TestSimplifyDegree2:
             Edge("LOOP", "HUB", "HUB", UNIFORM),
         ]
         assert any(v.rule == "self-loop" for v in validate(Topology(nodes, edges)))
+
+    def test_self_loop_only_node_is_left_for_validate(self):
+        # X has degree 2 from its one self-loop, so it is no chain interior
+        nodes = {"HUB": "internal", "X": "internal", "M1": "monitor", "M2": "monitor",
+                 "M3": "monitor", "R": "internal"}
+        edges = [
+            Edge("E1", "HUB", "M1", UNIFORM),
+            Edge("E2", "HUB", "M2", UNIFORM),
+            Edge("E3", "HUB", "R", UNIFORM),
+            Edge("E4", "R", "M3", UNIFORM),
+            Edge("LOOP", "X", "X", UNIFORM),
+        ]
+        simplified, equivalents = simplify_degree2(Topology(nodes, edges))
+        assert [eq.edge_ids for eq in equivalents] == [("E3", "E4")]
+        assert list(simplified.nodes) == ["HUB", "X", "M1", "M2", "M3"]
+        assert list(simplified.edges) == ["E1", "E2", "LOOP", "E3+E4"]
+        assert [(v.rule, v.subject) for v in validate(simplified)] == [
+            ("connectivity", "X"), ("self-loop", "LOOP")]
+
+    def test_matches_reference_on_random_multigraphs(self):
+        seen = {"contracted": 0, "raised": 0, "self-loop-only": 0}
+        for seed in range(3000):
+            topology = random_multigraph(seed)
+            try:
+                expected = reference_simplify_degree2(topology)
+            except TopologyError as err:
+                if "inconsistent degree bookkeeping" not in str(err):
+                    with pytest.raises(TopologyError) as raised:
+                        simplify_degree2(topology)
+                    assert type(raised.value) is TopologyError and str(raised.value) == str(err)
+                    seen["raised"] += 1
+                    continue
+                # the reference walked into a self-loop-only node; now such a node stays
+                loners = self_loop_only_nodes(topology)
+                assert loners and str(err).endswith(tuple(f"node {n!r}" for n in loners))
+                seen["self-loop-only"] += 1
+                try:
+                    simplified, _ = simplify_degree2(topology)
+                except TopologyError as cycle:
+                    assert "cycle" in str(cycle)
+                    continue
+                for node in loners:
+                    assert node in simplified.nodes
+                    [loop] = topology.incident_edges(node)
+                    assert simplified.edges[loop] == topology.edges[loop]
+                continue
+            simplified, equivalents = simplify_degree2(topology)
+            assert (simplified is topology) == (expected[0] is topology)
+            assert list(simplified.nodes.items()) == list(expected[0].nodes.items())
+            assert edge_rows(simplified) == edge_rows(expected[0])
+            assert equivalents == expected[1]
+            seen["contracted"] += bool(equivalents)
+        assert min(seen.values()) >= 200, seen
 
 
 class TestPeripheralEdges:

@@ -645,10 +645,10 @@ class TestEtchingMatchesReference:
                 reference_etch(topology, cfg.spam, (m_size, m_size), ("Z",), rng_for)
                 for _ in range(cfg.trials)
             ]
-            for row in (r for r in rows if r.m_value == m_size):
+            for row in (r for r in rows if r.M == m_size):
                 truth = topology.edges[row.target].channel.q_z
                 reference = aggregate_mse([est[row.target]["Z"] for est, _ in sweeps], truth)
-                assert (row.n_value, row.truth, row.step) == (m_size, truth, sweeps[0][1][row.target])
+                assert (row.N, row.truth, row.step) == (m_size, truth, sweeps[0][1][row.target])
                 assert row.mse == reference.mse
                 assert row.mse_std == reference.mse_std
 
