@@ -2,15 +2,16 @@
 
     qnt star|sweep|spam-s|spam-m|etch|loss [options]
 
-Common options: --s VAL --m VAL --trials K --seed S --full-scale --out FILE;
-each subcommand adds only the options its driver reads (``qnt CMD -h``).
-Sample lists accept comma-separated values and start:stop:step ranges
-(inclusive stop).  The seed falls back to the ``QNT_SEED`` environment
-variable, then to 12345.  Default grids are desk scale (step 1000, 100
-trials); ``--full-scale`` restores the reference scale (step 100, 1000
-trials unless ``--trials`` is given).  Out-of-range input and options of
-another subcommand are usage errors (exit status 2) shown with the
-subcommand's usage.
+Common options: --trials K --seed S --full-scale --out FILE; each subcommand
+adds only the options its driver reads (``qnt CMD -h``), so ``--s VAL --m VAL``
+everywhere but ``sweep``, which runs the (s, m) pairs of ``--spam-grid``.
+Options must be spelled in full.  Sample lists accept comma-separated values
+and start:stop:step ranges (inclusive stop).  The seed falls back to the
+``QNT_SEED`` environment variable, then to 12345.  Default grids are desk
+scale (step 1000, 100 trials); ``--full-scale`` restores the reference scale
+(step 100, 1000 trials unless ``--trials`` is given).  Out-of-range input,
+abbreviated options and options of another subcommand are usage errors (exit
+status 2) shown with the subcommand's usage.
 """
 
 from __future__ import annotations
@@ -83,46 +84,45 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser = argparse.ArgumentParser(prog="qnt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in (
-        ("star", "merge-protocol MSE on a 3-link star over an (M, N) grid"),
-        ("sweep", "star experiment swept over several SPAM settings"),
-        ("spam-s", "preparation-error estimation MSE over an (M, N) grid"),
-        ("spam-m", "measurement-error estimation MSE over an (M, N) grid"),
-        ("etch", "progressive etching MSE per edge on a general topology"),
-        ("loss", "lossy-fiber merge protocol with memory decoherence"),
+    # Each option once, in a named group.  Every dest but "experiment" names an
+    # ExperimentConfig field; an option left unset (None) keeps the config's default.
+    group = {name: argparse.ArgumentParser(add_help=False) for name in (
+        "topology", "spam", "q", "m-samples", "n-samples", "spam-grid", "loss-timing", "run")}
+    group["topology"].add_argument("--topology", dest="topology_path",
+                                   help="topology file (defaults to the bundled 19-edge network)")
+    group["spam"].add_argument("--s", type=float, help="preparation parameter s (default 1)")
+    group["spam"].add_argument("--m", type=float, help="measurement parameter m (default 1)")
+    group["q"].add_argument("--q", type=parse_float_list, dest="q_params",
+                            help="channel q values, e.g. 0.5,0.25,0.35")
+    group["m-samples"].add_argument("--m-samples", type=parse_int_list,
+                                    help="merge-side sample sizes (list or start:stop:step)")
+    group["n-samples"].add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
+    group["spam-grid"].add_argument("--spam-grid", type=parse_spam_grid,
+                                    help="semicolon-separated s:m pairs (default 1:1;0.95:0.95;0.8:0.8;0.5:0.5)")
+    group["loss-timing"].add_argument("--t-send", type=parse_float_list, dest="t_send_s",
+                                      help="send intervals in seconds")
+    group["loss-timing"].add_argument("--t-cutoff", type=parse_float_list, dest="t_cutoff_s",
+                                      help="memory cutoffs in seconds")
+    group["loss-timing"].add_argument("--horizon", type=float, dest="horizon_s",
+                                      help="simulated time in seconds (default 3600)")
+    group["run"].add_argument("--trials", type=int,
+                              help="trials per grid cell (default 100, or 1000 with --full-scale)")
+    group["run"].add_argument("--seed", type=int)
+    group["run"].add_argument("--full-scale", action="store_true",
+                              help="reference scale: step-100 grids and 1000 trials")
+    group["run"].add_argument("--out", dest="output_path", help="CSV output path")
+    ratio = ("spam", "q", "m-samples", "n-samples", "run")
+    for name, help_text, groups in (
+        ("star", "merge-protocol MSE on a 3-link star over an (M, N) grid", ratio),
+        ("sweep", "star experiment over a SPAM grid", ("q", "m-samples", "n-samples", "spam-grid", "run")),
+        ("spam-s", "preparation-error estimation MSE over an (M, N) grid", ratio),
+        ("spam-m", "measurement-error estimation MSE over an (M, N) grid", ratio),
+        ("etch", "progressive etching MSE per edge on a general topology",
+         ("topology", "spam", "m-samples", "run")),
+        ("loss", "lossy-fiber merge protocol with memory decoherence", ("spam", "q", "loss-timing", "run")),
     ):
-        # Every dest but "experiment" names an ExperimentConfig field; an
-        # option left unset (None) keeps the config's default.
-        cmd = sub.add_parser(name, help=help_text)
-        if name == "etch":
-            cmd.add_argument("--topology", dest="topology_path",
-                             help="topology file (defaults to the bundled 19-edge network)")
-        cmd.add_argument("--s", type=float, help="preparation parameter s (default 1)")
-        cmd.add_argument("--m", type=float, help="measurement parameter m (default 1)")
-        if name != "etch":
-            cmd.add_argument("--q", type=parse_float_list, dest="q_params",
-                             help="channel q values, e.g. 0.5,0.25,0.35")
-        if name != "loss":
-            cmd.add_argument("--m-samples", type=parse_int_list,
-                             help="merge-side sample sizes (list or start:stop:step)")
-        if name not in ("etch", "loss"):
-            cmd.add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
-        cmd.add_argument("--trials", type=int,
-                         help="trials per grid cell (default 100, or 1000 with --full-scale)")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--full-scale", action="store_true",
-                         help="reference scale: step-100 grids and 1000 trials")
-        cmd.add_argument("--out", dest="output_path", help="CSV output path")
-        if name == "sweep":
-            cmd.add_argument("--spam-grid", type=parse_spam_grid,
-                             help="semicolon-separated s:m pairs, e.g. 1:1;0.9:0.9")
-        if name == "loss":
-            cmd.add_argument("--t-send", type=parse_float_list, dest="t_send_s",
-                             help="send intervals in seconds")
-            cmd.add_argument("--t-cutoff", type=parse_float_list, dest="t_cutoff_s",
-                             help="memory cutoffs in seconds")
-            cmd.add_argument("--horizon", type=float, dest="horizon_s",
-                             help="simulated time in seconds (default 3600)")
+        # no abbreviations: "--m" must not silently become "--m-samples" where --m is not offered
+        sub.add_parser(name, help=help_text, parents=[group[g] for g in groups], allow_abbrev=False)
     return parser, sub.choices
 
 

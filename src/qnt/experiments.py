@@ -40,12 +40,16 @@ _Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2, "e
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
 LOSS_MEMORY_T2_S = 1.0
+# The (s, m) pairs a sweep runs when no ``spam_grid`` is given.
+SWEEP_GRID = ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale
-    defaults, and ``experiment`` to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).
+    defaults, a sweep's unset ``spam_grid`` to ``SWEEP_GRID``, and ``experiment``
+    to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).  ``channels``, not a field,
+    holds the depolarizing channels of the q values the experiment reads.
     An unknown experiment and out-of-range values, including a negative seed,
     a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
     rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that
@@ -83,6 +87,8 @@ class ExperimentConfig:
             self.m_samples = default
         if not self.n_samples:
             self.n_samples = default
+        if self.experiment == "sweep" and not self.spam_grid:
+            self.spam_grid = SWEEP_GRID
         if min(self.m_samples + self.n_samples) < 1:
             raise ValueError("sample sizes must be at least 1")
         if self.output_path and os.path.isdir(self.output_path):
@@ -94,9 +100,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"{typed} needs {needed} q values, got {len(self.q_params)}"
             )
+        self.channels = ()
         for index, q in enumerate(self.q_params[:needed], start=1):
             try:
-                PauliChannel(q, q, q)  # a depolarizing channel needs q in [-1/3, 1]
+                self.channels += (PauliChannel(q, q, q),)  # a depolarizing channel needs q in [-1/3, 1]
             except ChannelValidationError as err:
                 raise ValueError(f"q{index} = {q!r} is not a channel: {err}") from None
             if q == 0 and (self.experiment != "loss" or index > 1):
@@ -187,11 +194,6 @@ def _trial_seed(cfg: ExperimentConfig, label: str, trial: int) -> int:
     return int(stats.substream(cfg.seed, label, trial).integers(0, 2**63))
 
 
-def _channels(cfg: ExperimentConfig) -> tuple[PauliChannel, ...]:
-    """The depolarizing channels of the q values the experiment reads."""
-    return tuple(PauliChannel(q, q, q) for q in cfg.q_params[:_Q_PARAMS_READ[cfg.experiment]])
-
-
 def _row(
     cfg: ExperimentConfig,
     spam: SpamModel,
@@ -241,10 +243,11 @@ def _ratio_rows(
     return rows
 
 
-def run_star(cfg: ExperimentConfig, spam_grid: Optional[Sequence[SpamModel]] = None) -> list[Row]:
-    ch1, ch2, ch3 = _channels(cfg)
+def run_star(cfg: ExperimentConfig) -> list[Row]:
+    """Star rows over the (M, N) grid at each (s, m) of ``cfg.spam_grid``, or at (s, m) if it is empty."""
+    ch1, ch2, ch3 = cfg.channels
     rows = []
-    for spam in spam_grid or [cfg.spam]:
+    for spam in [SpamModel(s, m) for s, m in cfg.spam_grid] or [cfg.spam]:
         p_num, p_uni = protocols.merge_and_unicast_probs([ch1], [ch2], [ch3], spam)
         rows += _ratio_rows(
             cfg,
@@ -264,14 +267,8 @@ def run_star(cfg: ExperimentConfig, spam_grid: Optional[Sequence[SpamModel]] = N
     return rows
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[Row]:
-    """Star experiment repeated over a grid of SPAM settings."""
-    grid = cfg.spam_grid or ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
-    return run_star(cfg, [SpamModel(s, m) for s, m in grid])
-
-
 def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
-    path = _channels(cfg)
+    path = cfg.channels
     spam = cfg.spam
     p_num, p_uni = protocols.merge_and_unicast_probs([], [], path, spam)  # the s protocol over path
     return _ratio_rows(
@@ -290,7 +287,7 @@ def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
 
 
 def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
-    path = _channels(cfg)
+    path = cfg.channels
     spam = cfg.spam
     return _ratio_rows(
         cfg,
@@ -334,21 +331,20 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
 
 
 def run_loss(cfg: ExperimentConfig) -> list[Row]:
-    channels = _channels(cfg)
     rows = []
     for t_send, t_cutoff in itertools.product(cfg.t_send_s, cfg.t_cutoff_s):
         schedule = lossy.Schedule(send_interval_s=t_send, horizon_s=cfg.horizon_s)
         memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, cutoff_s=t_cutoff)
         start = time.perf_counter()
         results = [
-            lossy.run_loss_experiment(channels, LOSS_FIBER, memory, schedule, cfg.spam,
+            lossy.run_loss_experiment(cfg.channels, LOSS_FIBER, memory, schedule, cfg.spam,
                                       seed=_trial_seed(cfg, "loss", trial))
             for trial in range(cfg.trials)
         ]
         runtime = (time.perf_counter() - start) * 1e3
         samples = (sum(r.merged_count for r in results) / cfg.trials,
                    sum(r.received_count for r in results) / cfg.trials)
-        agg = stats.aggregate_mse([r.estimate for r in results], channels[0].q_z)
+        agg = stats.aggregate_mse([r.estimate for r in results], cfg.channels[0].q_z)
         rows.append(_row(cfg, cfg.spam, samples, agg, runtime,
                          target="qZ1", t_send_s=t_send, t_cutoff_s=t_cutoff))
     return rows
@@ -356,7 +352,7 @@ def run_loss(cfg: ExperimentConfig) -> list[Row]:
 
 DRIVERS = {
     "star": run_star,
-    "sweep": run_sweep,
+    "sweep": run_star,
     "spam_s": run_spam_s,
     "spam_m": run_spam_m,
     "etch": run_etch,

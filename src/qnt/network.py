@@ -164,8 +164,8 @@ def _connected_components(topology: Topology) -> list[set]:
 def validate(topology: Topology, require_simplified: bool = False) -> list[TopologyViolation]:
     """Structural checks; an empty list means the topology is valid.
 
-    ``require_simplified`` additionally demands every internal node have
-    degree >= 3 (the post-condition of :func:`simplify_degree2`).
+    ``require_simplified`` adds the post-condition of :func:`simplify_degree2`:
+    an internal node has degree >= 3, unless its only edge is a self-loop.
     """
     violations = []
     if not topology.nodes:
@@ -192,7 +192,9 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
             )
         if kind == INTERNAL and degree == 0:
             violations.append(TopologyViolation("isolated", node, "internal node has no edges"))
-        if require_simplified and kind == INTERNAL and 0 < degree < 3:
+        # a self-loop counts twice in degree but once in incident_edges
+        if (require_simplified and kind == INTERNAL and 0 < degree < 3
+                and len(topology.incident_edges(node)) == degree):
             violations.append(
                 TopologyViolation(
                     "internal-degree", node, f"internal node has degree {degree} after simplification"

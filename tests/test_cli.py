@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from qnt import lossy, protocols, stats
-from qnt.cli import build_parser, config_from_args, main, parse_int_list, parse_spam_grid
+from qnt.cli import _parsers, build_parser, config_from_args, main, parse_int_list, parse_spam_grid
 from qnt.experiments import (
     CSV_COLUMNS,
     DRIVERS,
     LOSS_FIBER,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
+    SWEEP_GRID,
     ExperimentConfig,
     Row,
     _trial_seed,
@@ -53,7 +54,8 @@ def normalize_runtime(text: str) -> str:
     return "\n".join(out)
 
 
-# Options of other subcommands; each is rejected as an unrecognized argument.
+# Options of other subcommands (sweep reads no --s or --m) and abbreviated
+# options; each is rejected as an unrecognized argument.
 UNKNOWN_OPTIONS = [
     ["etch", "--n-samples", "5"],
     ["etch", "--q", "0.1"],
@@ -61,7 +63,39 @@ UNKNOWN_OPTIONS = [
     ["loss", "--topology", "net.topo"],
     ["star", "--topology", "net.topo"],
     ["spam-s", "--t-send", "0.5"],
+    ["sweep", "--s", "0.9"],
+    ["sweep", "--m", "1"],
+    ["star", "--n", "8000"],
 ]
+
+# A small run of each subcommand, without --trials so that --full-scale changes
+# the trial count.  N >= 8000 for star and sweep and N >= 4000 for spam-s and
+# spam-m keep the chance that a trial draws a unicast count of exactly N/2 (and
+# aborts the cell) negligible, under the changed options too.
+OPTION_PROBE_BASE = {
+    "star": ["--m-samples", "8000", "--n-samples", "8000"],
+    "sweep": ["--spam-grid", "1:1", "--m-samples", "8000", "--n-samples", "8000"],
+    "spam-s": ["--m-samples", "4000", "--n-samples", "4000"],
+    "spam-m": ["--m-samples", "4000", "--n-samples", "4000"],
+    "etch": ["--m-samples", "4000"],
+    "loss": ["--t-send", "0.5", "--t-cutoff", "5", "--horizon", "30"],
+}
+# A value of each option that differs from the base and from the default.
+OPTION_PROBE_VALUE = {
+    "--topology": str(DATA_DIR / "tree60_reversed.topo"),
+    "--s": "0.9",
+    "--m": "0.9",
+    "--q": "0.4,0.25,0.35",
+    "--m-samples": "9000",
+    "--n-samples": "9000",
+    "--spam-grid": "0.9:0.9",
+    "--t-send": "0.25",
+    "--t-cutoff": "0.35",
+    "--horizon": "40",
+    "--trials": "50",
+    "--seed": "8",
+    "--full-scale": None,
+}
 
 
 class TestArgParsing:
@@ -270,7 +304,7 @@ class TestArgParsing:
                 "edge E1 H M1 0.8 0.8 0.8\nedge E2 H M2 0.8 0.8 0.8\nedge E3 H M3 0.8 0.8 0.8\n"
                 "edge L X X 0.8 0.8 0.8\n",
                 "cannot be etched: [connectivity] X: node is not connected to the rest; "
-                "[self-loop] L: channel starts and ends at one node",
+                "[self-loop] L: channel starts and ends at one node\n",
             ),
         ],
         ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "self-loops",
@@ -309,6 +343,37 @@ class TestArgParsing:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(vars(build_parser().parse_args([name]))) - {"experiment"} <= fields
 
+    def test_every_option_changes_the_rows_or_is_a_usage_error(self, monkeypatch, capsys):
+        # an option that is parsed and recorded but changes no row misleads
+        monkeypatch.delenv("QNT_SEED", raising=False)
+
+        def rows(argv):
+            try:
+                main(argv)
+            except SystemExit as exit_info:
+                assert exit_info.code == 2
+                capsys.readouterr()
+                return None
+            return normalize_runtime(capsys.readouterr().out).splitlines()[1:]
+
+        ignored = []
+        for name, command in _parsers()[1].items():
+            base = [name, *OPTION_PROBE_BASE[name]]
+            base_rows = rows(base)
+            assert base_rows
+            for action in command._actions:
+                for flag in set(action.option_strings) - {"-h", "--help", "--out"}:
+                    value = OPTION_PROBE_VALUE[flag]
+                    changed = rows([*base, flag] + ([] if value is None else [value]))
+                    if changed == base_rows:
+                        ignored.append(f"{name} {flag}")
+        assert ignored == []
+
+    def test_sweep_reads_no_s_or_m(self):
+        sweep = _parsers()[1]["sweep"]
+        assert not {"--s", "--m"} & set(sweep._option_string_actions)
+        assert not re.search(r"--[sm](?![\w-])", sweep.format_help())
+
     def test_loss_defaults_without_flags(self):
         cfg = config_from_args(build_parser().parse_args(["loss"]))
         assert cfg.horizon_s == 3600.0
@@ -341,11 +406,12 @@ class TestArgParsing:
         [
             dict(experiment="star", full_scale=True),
             dict(experiment="sweep", spam_grid=((1.0, 1.0), (0.8, 0.9))),
+            dict(experiment="sweep"),
             dict(experiment="etch", topology_path=str(DATA_DIR / "tree60_reversed.topo")),
             dict(experiment="loss", q_params=(0.0, 0.25, 0.35), t_send_s=(0.5,),
                  t_cutoff_s=(math.inf,), horizon_s=60.0),
         ],
-        ids=["star-full-scale", "sweep-spam-grid", "etch", "loss"],
+        ids=["star-full-scale", "sweep-spam-grid", "sweep-default", "etch", "loss"],
     )
     def test_config_header_is_the_json_of_the_config_fields(self, overrides):
         cfg = ExperimentConfig(**overrides)
@@ -455,6 +521,25 @@ class TestRunExperiment:
         assert rows[(10000, 10000)] < rows[(2000, 2000)]
         assert rows[(10000, 10000)] < rows[(2000, 10000)]
         assert rows[(10000, 10000)] < rows[(10000, 2000)]
+
+    def test_sweep_defaults_to_the_sweep_grid(self):
+        assert ExperimentConfig("sweep").spam_grid == SWEEP_GRID
+        assert ExperimentConfig("star").spam_grid == ()
+        assert DRIVERS["sweep"] is DRIVERS["star"]
+        # N = 20000 keeps a degenerate unicast count unlikely even at s = m = 0.5
+        cfg = small_cfg(experiment="sweep", trials=5, m_samples=(20000,), n_samples=(20000,))
+        rows = run_experiment(cfg)
+        assert [(row.s, row.m) for row in rows] == list(SWEEP_GRID)
+        assert {row.experiment for row in rows} == {"sweep"}
+
+    def test_star_runs_a_library_spam_grid(self):
+        cfg = small_cfg(spam_grid=((0.9, 0.9),), m_samples=(8000,), n_samples=(8000,))
+        at_s_m = small_cfg(s=0.9, m=0.9, m_samples=(8000,), n_samples=(8000,))
+        rows, reference = run_experiment(cfg), run_experiment(at_s_m)
+        assert [(row.s, row.m) for row in rows] == [(0.9, 0.9)]
+        # the same stream: a one-pair grid is that (s, m)
+        assert [row._replace(runtime_ms=0) for row in rows] == [
+            row._replace(runtime_ms=0) for row in reference]
 
     def test_sweep_driver_varies_spam(self):
         cfg = small_cfg(

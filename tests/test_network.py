@@ -125,6 +125,18 @@ class TestValidate:
         assert validate(topo) == []
         assert any(v.rule == "internal-degree" for v in validate(topo, require_simplified=True))
 
+    def test_internal_degree_skips_a_node_whose_only_edge_is_a_self_loop(self):
+        # X has degree 2 (a self-loop counts twice) but one incident edge: no chain interior
+        topo = Topology(
+            {"H": "internal", "X": "internal", "Y": "internal", "M1": "monitor", "M2": "monitor"},
+            [Edge("E1", "H", "M1", UNIFORM), Edge("E2", "H", "M2", UNIFORM), Edge("E3", "H", "Y", UNIFORM),
+             Edge("L", "X", "X", UNIFORM)],
+        )
+        assert (topo.degree("X"), topo.incident_edges("X")) == (2, ("L",))
+        assert [(v.rule, v.subject) for v in validate(topo, require_simplified=True)] == [
+            ("connectivity", "X"), ("self-loop", "L"), ("internal-degree", "Y"),
+        ]
+
 
 def reference_simplify_degree2(topology: Topology):
     """The former :func:`simplify_degree2`, which re-derived each interior node's
