@@ -2,14 +2,15 @@
 
     qnt star|sweep|spam-s|spam-m|etch|loss [options]
 
-Common options: --trials K --seed S --full-scale --out FILE; each subcommand
-adds only the options its driver reads (``qnt CMD -h``), so ``--s VAL --m VAL``
-everywhere but ``sweep``, which runs the (s, m) pairs of ``--spam-grid``.
-Options must be spelled in full.  Sample lists accept comma-separated values
-and start:stop:step ranges (inclusive stop).  The seed falls back to the
-``QNT_SEED`` environment variable, then to 12345.  Default grids are desk
-scale (step 1000, 100 trials); ``--full-scale`` restores the reference scale
-(step 100, 1000 trials unless ``--trials`` is given).  Out-of-range input,
+Common options: --trials K --seed S --full-scale --out FILE; each subcommand adds
+the options of the config fields its experiment reads (``experiments.READS``), so
+``--s VAL --m VAL`` everywhere but ``sweep``, which runs the pairs of
+``--spam-grid``, and the CSV's ``# config`` line records the experiment, the
+versions and those fields.  Options must be spelled in full.  Sample lists accept
+comma-separated values and start:stop:step ranges (inclusive stop).  The seed
+falls back to the ``QNT_SEED`` environment variable, then to 12345.  Default grids
+are desk scale (step 1000, 100 trials); ``--full-scale`` restores the reference
+scale (step 100, 1000 trials unless ``--trials`` is given).  Out-of-range input,
 abbreviated options and options of another subcommand are usage errors (exit
 status 2) shown with the subcommand's usage.
 """
@@ -23,7 +24,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .experiments import ExperimentConfig, write_experiment
+from .experiments import READS, ExperimentConfig, write_experiment
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -77,6 +78,31 @@ def _default_seed() -> int:
         raise ValueError(f"QNT_SEED must be an integer, got {env!r}") from None
 
 
+# Each config field's option: its flag and argparse keywords.  A subcommand offers
+# those of the fields its experiment reads, in ``READS`` order; an option left
+# unset (None) keeps the config's default.
+_OPTIONS = {
+    "topology_path": ("--topology", dict(help="topology file (defaults to the bundled 19-edge network)")),
+    "s": ("--s", dict(type=float, help="preparation parameter s (default 1)")),
+    "m": ("--m", dict(type=float, help="measurement parameter m (default 1)")),
+    "q_params": ("--q", dict(type=parse_float_list, help="channel q values, e.g. 0.5,0.25,0.35")),
+    "m_samples": ("--m-samples", dict(type=parse_int_list,
+                                      help="merge-side sample sizes (list or start:stop:step)")),
+    "n_samples": ("--n-samples", dict(type=parse_int_list, help="unicast-side sample sizes")),
+    "spam_grid": ("--spam-grid", dict(type=parse_spam_grid, help="semicolon-separated s:m pairs "
+                                      "(default 1:1;0.95:0.95;0.8:0.8;0.5:0.5)")),
+    "t_send_s": ("--t-send", dict(type=parse_float_list, help="send intervals in seconds")),
+    "t_cutoff_s": ("--t-cutoff", dict(type=parse_float_list, help="memory cutoffs in seconds")),
+    "horizon_s": ("--horizon", dict(type=float, help="simulated time in seconds (default 3600)")),
+    "trials": ("--trials", dict(type=int,
+                                help="trials per grid cell (default 100, or 1000 with --full-scale)")),
+    "seed": ("--seed", dict(type=int)),
+    "full_scale": ("--full-scale", dict(action="store_true",
+                                        help="reference scale: step-100 grids and 1000 trials")),
+    "output_path": ("--out", dict(help="CSV output path")),
+}
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its subcommands' parsers by name, built once;
@@ -84,45 +110,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser = argparse.ArgumentParser(prog="qnt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    # Each option once, in a named group.  Every dest but "experiment" names an
-    # ExperimentConfig field; an option left unset (None) keeps the config's default.
-    group = {name: argparse.ArgumentParser(add_help=False) for name in (
-        "topology", "spam", "q", "m-samples", "n-samples", "spam-grid", "loss-timing", "run")}
-    group["topology"].add_argument("--topology", dest="topology_path",
-                                   help="topology file (defaults to the bundled 19-edge network)")
-    group["spam"].add_argument("--s", type=float, help="preparation parameter s (default 1)")
-    group["spam"].add_argument("--m", type=float, help="measurement parameter m (default 1)")
-    group["q"].add_argument("--q", type=parse_float_list, dest="q_params",
-                            help="channel q values, e.g. 0.5,0.25,0.35")
-    group["m-samples"].add_argument("--m-samples", type=parse_int_list,
-                                    help="merge-side sample sizes (list or start:stop:step)")
-    group["n-samples"].add_argument("--n-samples", type=parse_int_list, help="unicast-side sample sizes")
-    group["spam-grid"].add_argument("--spam-grid", type=parse_spam_grid,
-                                    help="semicolon-separated s:m pairs (default 1:1;0.95:0.95;0.8:0.8;0.5:0.5)")
-    group["loss-timing"].add_argument("--t-send", type=parse_float_list, dest="t_send_s",
-                                      help="send intervals in seconds")
-    group["loss-timing"].add_argument("--t-cutoff", type=parse_float_list, dest="t_cutoff_s",
-                                      help="memory cutoffs in seconds")
-    group["loss-timing"].add_argument("--horizon", type=float, dest="horizon_s",
-                                      help="simulated time in seconds (default 3600)")
-    group["run"].add_argument("--trials", type=int,
-                              help="trials per grid cell (default 100, or 1000 with --full-scale)")
-    group["run"].add_argument("--seed", type=int)
-    group["run"].add_argument("--full-scale", action="store_true",
-                              help="reference scale: step-100 grids and 1000 trials")
-    group["run"].add_argument("--out", dest="output_path", help="CSV output path")
-    ratio = ("spam", "q", "m-samples", "n-samples", "run")
-    for name, help_text, groups in (
-        ("star", "merge-protocol MSE on a 3-link star over an (M, N) grid", ratio),
-        ("sweep", "star experiment over a SPAM grid", ("q", "m-samples", "n-samples", "spam-grid", "run")),
-        ("spam-s", "preparation-error estimation MSE over an (M, N) grid", ratio),
-        ("spam-m", "measurement-error estimation MSE over an (M, N) grid", ratio),
-        ("etch", "progressive etching MSE per edge on a general topology",
-         ("topology", "spam", "m-samples", "run")),
-        ("loss", "lossy-fiber merge protocol with memory decoherence", ("spam", "q", "loss-timing", "run")),
+    for name, help_text in (
+        ("star", "merge-protocol MSE on a 3-link star over an (M, N) grid"),
+        ("sweep", "star experiment over a SPAM grid"),
+        ("spam-s", "preparation-error estimation MSE over an (M, N) grid"),
+        ("spam-m", "measurement-error estimation MSE over an (M, N) grid"),
+        ("etch", "progressive etching MSE per edge on a general topology"),
+        ("loss", "lossy-fiber merge protocol with memory decoherence"),
     ):
         # no abbreviations: "--m" must not silently become "--m-samples" where --m is not offered
-        sub.add_parser(name, help=help_text, parents=[group[g] for g in groups], allow_abbrev=False)
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for field in READS[name.replace("-", "_")]:
+            command.add_argument(_OPTIONS[field][0], dest=field, **_OPTIONS[field][1])
     return parser, sub.choices
 
 

@@ -10,9 +10,9 @@ header is the fields of :class:`Row`, a fixed prefix
 
 followed by context columns ``target,step,t_send_s,t_cutoff_s`` that are
 blank where they do not apply.  The first line of every file is a ``#``
-comment embedding the full configuration and seed.  Apart from the
-``runtime_ms`` column, output is byte-identical for identical config and
-seed.
+comment embedding the experiment, the config fields it reads (``READS``) and
+``VERSIONS``.  Apart from the ``runtime_ms`` column and the versions, output is
+byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -22,38 +22,53 @@ import functools
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import lossy, network, protocols, stats, topo_io
+import numpy as np
+
+from . import __version__, lossy, network, protocols, stats, topo_io
 from .pauli import ChannelValidationError, PauliChannel
 from .protocols import SpamModel
 
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
-# How many of ``q_params`` each experiment reads; etch takes its channels
-# from the topology.
-_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2, "etch": 0}
+# The config fields each experiment reads, in CLI option order; the others keep their defaults.
+_RUN = ("trials", "seed", "full_scale", "output_path")
+_RATIO = ("s", "m", "q_params", "m_samples", "n_samples", *_RUN)
+READS = {
+    "star": _RATIO,
+    "sweep": ("q_params", "m_samples", "n_samples", "spam_grid", *_RUN),
+    "spam_s": _RATIO,
+    "spam_m": _RATIO,
+    "etch": ("topology_path", "s", "m", "m_samples", *_RUN),
+    "loss": ("s", "m", "q_params", "t_send_s", "t_cutoff_s", "horizon_s", *_RUN),
+}
+# How many of ``q_params`` each experiment that reads them uses.
+_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
 # The loss experiment's fixed hardware: a 10 km fiber and the merge node's memory.
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
 LOSS_MEMORY_T2_S = 1.0
 # The (s, m) pairs a sweep runs when no ``spam_grid`` is given.
 SWEEP_GRID = ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
+# The versions that a CSV's ``# config`` line records.
+VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a driver needs; unset grids and trials fall back to scale
-    defaults, a sweep's unset ``spam_grid`` to ``SWEEP_GRID``, and ``experiment``
-    to its ``DRIVERS`` key (``spam-s`` is ``spam_s``).  ``channels``, not a field,
-    holds the depolarizing channels of the q values the experiment reads.
-    An unknown experiment and out-of-range values, including a negative seed,
-    a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
-    rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that
-    cannot be read or etched, an etch ``s`` too small to divide by, and an output
+    """Everything a driver needs; unset grids and trials fall back to scale defaults,
+    an unset ``spam_grid`` to ``SWEEP_GRID``, and ``experiment`` to its ``READS`` key
+    (``spam-s`` is ``spam_s``).  ``channels``, not a field, holds the depolarizing
+    channels of the q values the experiment reads.  An unknown experiment, a field
+    outside ``READS[experiment]`` set away from its default, and out-of-range values,
+    including a negative seed, a zero SPAM parameter or q divisor, loss timings that
+    :mod:`qnt.lossy` rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology
+    that cannot be read or etched, an etch ``s`` too small to divide by, and an output
     path that is a directory or in no existing directory raise ``ValueError``."""
 
     experiment: str
@@ -74,28 +89,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         typed, self.experiment = self.experiment, self.experiment.replace("-", "_")
-        if self.experiment not in DRIVERS:
+        if self.experiment not in READS:
             raise ValueError(f"unknown experiment {typed!r}")
+        reads = READS[self.experiment]
+        for field in dataclasses.fields(self)[1:]:  # the fields after experiment
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise ValueError(f"{typed} does not read {field.name}; leave it at {field.default!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is None:
             self.trials = 1000 if self.full_scale else 100
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        default = FULL_GRID if self.full_scale else DESK_GRID
-        if not self.m_samples:
-            self.m_samples = default
-        if not self.n_samples:
-            self.n_samples = default
-        if self.experiment == "sweep" and not self.spam_grid:
-            self.spam_grid = SWEEP_GRID
-        if min(self.m_samples + self.n_samples) < 1:
+        grid = FULL_GRID if self.full_scale else DESK_GRID
+        for name, default in (("m_samples", grid), ("n_samples", grid), ("spam_grid", SWEEP_GRID)):
+            if name in reads and not getattr(self, name):
+                setattr(self, name, default)
+        if min(self.m_samples + self.n_samples, default=1) < 1:
             raise ValueError("sample sizes must be at least 1")
+        if max(self.m_samples + self.n_samples, default=1) > 2**63 - 1:  # numpy draws int64 counts
+            raise ValueError("sample sizes must be at most 2**63 - 1")
         if self.output_path and os.path.isdir(self.output_path):
             raise ValueError(f"output path {self.output_path!r} is a directory")
         if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
             raise ValueError(f"output path {self.output_path!r} is in no existing directory")
-        needed = _Q_PARAMS_READ[self.experiment]
+        needed = _Q_PARAMS_READ[self.experiment] if "q_params" in reads else 0
         if len(self.q_params) < needed:
             raise ValueError(
                 f"{typed} needs {needed} q values, got {len(self.q_params)}"
@@ -114,12 +132,12 @@ class ExperimentConfig:
             if s == 0 or m == 0:
                 # every estimator divides by s, m or their product
                 raise ValueError(f"SPAM parameters must be nonzero, got s={s!r}, m={m!r}")
-        if self.experiment == "loss":
+        if "horizon_s" in reads:
             for t_send in self.t_send_s:
                 lossy.Schedule(t_send, self.horizon_s)
             for t_cutoff in self.t_cutoff_s:
                 lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, t_cutoff)
-        if self.experiment == "etch":
+        if "topology_path" in reads:
             if self.s < protocols.DEGENERATE_DENOMINATOR_TOL:  # first-round edges divide by s alone
                 raise ValueError(f"etch divides by s, so s must be at least "
                                  f"{protocols.DEGENERATE_DENOMINATOR_TOL:g}, got s={self.s!r}")
@@ -178,8 +196,8 @@ CSV_COLUMNS = Row._fields
 
 
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
-    # fields(), not asdict() (a deep copy) or vars() (which holds the cached topology)
-    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    config = {name: getattr(cfg, name) for name in ("experiment", *READS[cfg.experiment])}
+    config["versions"] = VERSIONS
     lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
     # a numpy float64 is a float, and a NaN prints as nan
     lines += [

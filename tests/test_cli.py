@@ -3,11 +3,13 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 
 import numpy as np
 import pytest
 
+import qnt
 from qnt import lossy, protocols, stats
 from qnt.cli import _parsers, build_parser, config_from_args, main, parse_int_list, parse_spam_grid
 from qnt.experiments import (
@@ -16,6 +18,7 @@ from qnt.experiments import (
     LOSS_FIBER,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
+    READS,
     SWEEP_GRID,
     ExperimentConfig,
     Row,
@@ -31,21 +34,22 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
-    base = dict(
-        experiment="star",
-        seed=7,
-        trials=20,
-        m_samples=(2000,),
-        n_samples=(2000, 4000),
-    )
+    """A small config; its sample grids are set only where the experiment reads them."""
+    reads = READS.get(overrides.get("experiment", "star").replace("-", "_"), ())
+    base = dict(experiment="star", seed=7, trials=20)
+    base.update({name: grid for name, grid in (("m_samples", (2000,)), ("n_samples", (2000, 4000)))
+                 if name in reads})
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
 def normalize_runtime(text: str) -> str:
-    """Blank the wall-clock column, the only nondeterministic field."""
+    """Blank the wall-clock column and the header's versions, the only fields
+    that differ between runs and between hosts."""
     lines = text.splitlines()
-    out = [lines[0], lines[1]]
+    config = json.loads(lines[0].removeprefix("# config "))
+    config["versions"] = dict.fromkeys(config["versions"], "_")
+    out = ["# config " + json.dumps(config, sort_keys=True), lines[1]]
     runtime_idx = CSV_COLUMNS.index("runtime_ms")
     for line in lines[2:]:
         cells = line.split(",")
@@ -255,6 +259,10 @@ class TestArgParsing:
             ["star", "--q", "--trials", "2"],
             ["star", "--seed", "-5"],
             ["etch", "--seed", "-1"],
+            # numpy draws the counts as int64
+            ["star", "--m-samples", "9223372036854775808", "--n-samples", "8000", "--trials", "2"],
+            ["star", "--n-samples", "8000,9223372036854775808", "--trials", "2"],
+            ["etch", "--m-samples", "9223372036854775808"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -417,8 +425,46 @@ class TestArgParsing:
         cfg = ExperimentConfig(**overrides)
         if cfg.experiment == "etch":
             assert "topology" in vars(cfg)  # read and cached by the config check
-        header = rows_to_csv(cfg, []).splitlines()[0]
-        assert header == "# config " + json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+        header = json.loads(rows_to_csv(cfg, []).splitlines()[0].removeprefix("# config "))
+        versions = {"qnt": qnt.__version__, "numpy": np.__version__, "python": platform.python_version()}
+        assert header.pop("versions") == versions
+        assert header == json.loads(json.dumps(
+            {name: value for name, value in dataclasses.asdict(cfg).items() if name in header}))
+
+    def test_options_and_header_follow_reads(self):
+        # the options a subcommand offers are the fields its experiment reads, in order,
+        # and its header records exactly those, the experiment and the versions
+        commands = _parsers()[1]
+        assert {name.replace("-", "_") for name in commands} == set(READS) == set(DRIVERS)
+        for name, command in commands.items():
+            reads = READS[name.replace("-", "_")]
+            assert tuple(action.dest for action in command._actions if action.dest != "help") == reads
+            header = rows_to_csv(config_from_args(build_parser().parse_args([name])), []).splitlines()[0]
+            assert set(json.loads(header.removeprefix("# config "))) == {"experiment", "versions", *reads}
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # sweep runs the pairs of spam_grid, so s and m would change no row
+            (dict(experiment="sweep", s=0.5, m=0.5, spam_grid=((1.0, 1.0),)), "s"),
+            (dict(experiment="sweep", m=0.5), "m"),
+            (dict(experiment="etch", q_params=(0.4, 0.25, 0.35)), "q_params"),  # etch reads the topology
+            (dict(experiment="etch", n_samples=(1000,)), "n_samples"),  # etch ties N to M
+            (dict(experiment="star", spam_grid=((0.9, 0.9),)), "spam_grid"),
+            (dict(experiment="spam-s", horizon_s=60.0), "horizon_s"),
+            (dict(experiment="loss", m_samples=(1000,)), "m_samples"),
+            (dict(experiment="loss", topology_path="net.topo"), "topology_path"),
+        ],
+    )
+    def test_config_rejects_a_set_field_its_experiment_does_not_read(self, overrides, field):
+        with pytest.raises(ValueError, match=f"does not read {field};"):
+            ExperimentConfig(**overrides)
+
+    def test_config_accepts_an_unread_field_left_at_its_default(self):
+        assert ExperimentConfig("etch", q_params=(0.5, 0.25, 0.35)).q_params == (0.5, 0.25, 0.35)
+        assert ExperimentConfig("sweep", s=1.0, m=1.0).spam_grid == SWEEP_GRID
+        loss = ExperimentConfig("loss", m_samples=(), n_samples=(), spam_grid=())
+        assert (loss.m_samples, loss.n_samples) == ((), ())  # no grid is filled in for loss
 
 
 class TestRunExperiment:
@@ -477,7 +523,7 @@ class TestRunExperiment:
         assert all(row.truth == 0.7 for row in rows)
 
     def test_etch_driver_emits_per_edge_rows(self):
-        cfg = small_cfg(experiment="etch", trials=3, m_samples=(2000,), n_samples=(2000,))
+        cfg = small_cfg(experiment="etch", trials=3, m_samples=(2000,))
         rows = run_experiment(cfg)
         assert len(rows) == 19
         steps = {row.target: row.step for row in rows}
@@ -533,12 +579,13 @@ class TestRunExperiment:
         assert {row.experiment for row in rows} == {"sweep"}
 
     def test_star_runs_a_library_spam_grid(self):
-        cfg = small_cfg(spam_grid=((0.9, 0.9),), m_samples=(8000,), n_samples=(8000,))
+        cfg = small_cfg(experiment="sweep", spam_grid=((0.9, 0.9),), m_samples=(8000,), n_samples=(8000,))
         at_s_m = small_cfg(s=0.9, m=0.9, m_samples=(8000,), n_samples=(8000,))
         rows, reference = run_experiment(cfg), run_experiment(at_s_m)
         assert [(row.s, row.m) for row in rows] == [(0.9, 0.9)]
-        # the same stream: a one-pair grid is that (s, m)
-        assert [row._replace(runtime_ms=0) for row in rows] == [
+        assert {row.experiment for row in rows} == {"sweep"}
+        # both draw from star|0.9|0.9|...: a one-pair sweep is star at that (s, m)
+        assert [row._replace(experiment="star", runtime_ms=0) for row in rows] == [
             row._replace(runtime_ms=0) for row in reference]
 
     def test_sweep_driver_varies_spam(self):
