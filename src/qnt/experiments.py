@@ -6,12 +6,14 @@ etching from one per round, basis and protocol, ``loss`` from one seed per
 trial), and emits one CSV row per cell (per edge, for etching).  The
 header is the fields of :class:`Row`, a fixed prefix
 
-    experiment,M,N,s,m,truth,mse,mse_std,crb,runtime_ms,seed
+    experiment,M,N,s,m,truth,mse,mse_std,n_degenerate,crb,runtime_ms,seed
 
 followed by context columns ``target,step,t_send_s,t_cutoff_s`` that are
-blank where they do not apply.  The first line of every file is a ``#``
-comment embedding the experiment, the config fields it reads (``READS``) and
-``VERSIONS``.  Apart from the ``runtime_ms`` column and the versions, output is
+blank where they do not apply.  ``n_degenerate`` counts a cell's NaN trials
+(those that could not divide, or ``loss`` trials that received nothing), and
+``mse`` and ``mse_std`` are over the others.  The first line of every file is a
+``#`` comment embedding the experiment, the config fields it reads (``READS``)
+and ``VERSIONS``.  Apart from the ``runtime_ms`` column and the versions, output is
 byte-identical for identical config and seed.
 """
 
@@ -34,6 +36,9 @@ from . import __version__, lossy, network, protocols, stats, topo_io
 from .pauli import ChannelValidationError, PauliChannel
 from .protocols import SpamModel
 
+# The most trials a cell may have: a ratio cell holds its trials' counts, estimates
+# and squared errors at once, about 66 bytes per trial, so 0.7 GB at the cap.
+MAX_TRIALS = 10**7
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
 # The config fields each experiment reads, in CLI option order; the others keep their defaults.
@@ -66,10 +71,11 @@ class ExperimentConfig:
     (``spam-s`` is ``spam_s``).  ``channels``, not a field, holds the depolarizing
     channels of the q values the experiment reads.  An unknown experiment, a field
     outside ``READS[experiment]`` set away from its default, and out-of-range values,
-    including a negative seed, a zero SPAM parameter or q divisor, loss timings that
-    :mod:`qnt.lossy` rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology
-    that cannot be read or etched, an etch ``s`` too small to divide by, and an output
-    path that is a directory or in no existing directory raise ``ValueError``."""
+    including a negative seed, more than ``MAX_TRIALS`` trials, a zero SPAM parameter
+    or q divisor, loss timings that :mod:`qnt.lossy` rejects (more than
+    ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be read or etched, an
+    etch ``s`` too small to divide by, and an output path that is a directory or in no
+    existing directory raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -99,8 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is None:
             self.trials = 1000 if self.full_scale else 100
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS:.0e}], got {self.trials}")
         grid = FULL_GRID if self.full_scale else DESK_GRID
         for name, default in (("m_samples", grid), ("n_samples", grid), ("spam_grid", SWEEP_GRID)):
             if name in reads and not getattr(self, name):
@@ -183,6 +189,7 @@ class Row(NamedTuple):
     truth: float
     mse: float
     mse_std: float
+    n_degenerate: int
     crb: Optional[float]
     runtime_ms: float
     seed: int
@@ -225,7 +232,7 @@ def _row(
     ``samples`` as (M, N) and ``context`` for the columns after ``seed``."""
     # the fixed column prefix, in CSV order
     return Row(cfg.experiment, *samples, spam.s, spam.m, agg.truth, agg.mse, agg.mse_std,
-               crb, runtime_ms, cfg.seed, **context)
+               agg.n_degenerate, crb, runtime_ms, cfg.seed, **context)
 
 
 def _ratio_rows(

@@ -62,11 +62,7 @@ class ProtocolError(ValueError):
 
 
 class EstimationError(RuntimeError):
-    """An estimator denominator is too close to zero to divide; ``column`` indexes its last axis."""
-
-    def __init__(self, message: str, column: int = 0):
-        super().__init__(message)
-        self.column = column
+    """A scalar estimator's denominator is too close to zero to divide (an array gives NaN there)."""
 
 
 @dataclass(frozen=True)
@@ -384,13 +380,9 @@ def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
     return value if isinstance(value, np.ndarray) else float(value)
 
 
-def _check_divisor(divisor: Union[float, np.ndarray], what: str) -> None:
-    """Raise ``EstimationError`` at the first entry of ``divisor`` too close to zero, column by column."""
-    degenerate = np.abs(divisor) < DEGENERATE_DENOMINATOR_TOL
-    if degenerate.any():  # the method, not np.any: a third of the cost on tiny arrays
-        by_column = np.atleast_1d(divisor).T
-        first = np.unravel_index(np.argmax(np.atleast_1d(degenerate).T), by_column.shape)
-        raise EstimationError(f"{what} {by_column[first]} is degenerate", int(first[0]))
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, NaN wherever ``|den|`` is below ``DEGENERATE_DENOMINATOR_TOL``."""
+    return num / np.where(np.abs(den) < DEGENERATE_DENOMINATOR_TOL, np.nan, den)
 
 
 def _ratio(
@@ -398,7 +390,10 @@ def _ratio(
 ) -> Union[float, np.ndarray]:
     num = 2.0 * _p_hat(numerator) - 1.0
     den = 2.0 * _p_hat(denominator) - 1.0
-    _check_divisor(den, f"{what}: denominator 2*p-1 =")
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        return _divide(num, den)
+    if abs(den) < DEGENERATE_DENOMINATOR_TOL:
+        raise EstimationError(f"{what}: denominator 2*p-1 = {den} is degenerate")
     return num / den
 
 
@@ -461,9 +456,9 @@ def run_progressive_etching(
     Per round and basis, one state-pipeline call computes the probabilities of every
     frontier target, and one :func:`sample_ratio` call draws them (column j is target j)
     from ``etch|{round}|{basis}|merge``/``|uni``.  A zero parameter raises
-    ``ProtocolError``, and a degenerate denominator, then chain correction,
-    ``EstimationError``; each names its first edge in frontier order, within the first
-    such basis of ``bases``.
+    ``ProtocolError`` naming its first edge in frontier order, within the first such basis
+    of ``bases``.  A trial whose unicast denominator or chain correction is degenerate
+    (see :func:`_divide`) is NaN for that edge, and so for every edge divided by its ratio.
     ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k
     is the k-th of successive scalar sweeps on the same streams, each divided by its own
     head's ratio.
@@ -489,16 +484,10 @@ def run_progressive_etching(
 
         by_basis = {}
         for basis, (p_merge, p_uni) in probs.items():
-            try:
-                ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
-                                     f"etch|{round_num}|{basis}", trials)
-                correction = ratios[basis][..., heads]
-                _check_divisor(correction, "chain correction")
-            except EstimationError as err:
-                where = f"edge {frontier[err.column]!r}, basis {basis}"
-                raise EstimationError(f"{where}: {err}", err.column) from None
+            ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
+                                 f"etch|{round_num}|{basis}", trials)
+            estimates = _divide(ratio, ratios[basis][..., heads])
             ratios[basis][..., target_rows] = ratio
-            estimates = ratio / correction
             by_basis[basis] = estimates.tolist() if trials is None else estimates.T
 
         run.steps.update(dict.fromkeys(frontier, round_num))

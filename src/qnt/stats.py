@@ -34,10 +34,11 @@ def substream(master_seed: int, label: str, index: int) -> np.random.Generator:
 class TrialAggregate(NamedTuple):
     """Per-experiment error summary across repeated trials.
 
-    ``mse`` is the mean of squared errors; ``sq_err_std`` their standard
-    deviation across trials, and ``mse_std = sq_err_std / sqrt(n_trials)``
-    the resulting uncertainty of the MSE itself (both are exposed since
-    plotting conventions differ).
+    ``mse`` is the mean of squared errors over the trials with a finite estimate,
+    ``sq_err_std`` their standard deviation, and ``mse_std = sq_err_std / sqrt(count)``
+    the resulting uncertainty of the MSE itself (both are exposed since plotting
+    conventions differ).  ``n_degenerate`` counts the other trials; with none
+    left, all three are NaN.
     """
 
     truth: float
@@ -45,6 +46,7 @@ class TrialAggregate(NamedTuple):
     sq_err_std: float
     mse_std: float
     n_trials: int
+    n_degenerate: int
 
 
 def aggregate_mse(estimates: Union[Sequence[float], np.ndarray], truth: float) -> TrialAggregate:
@@ -73,10 +75,15 @@ def aggregate_mse_rows(
     # squared error is bit for bit that of a scalar loop; ``**`` on an array
     # multiplies instead and differs in the last bit now and then.
     sq = np.float_power(values - truth[:, np.newaxis], 2)
-    root_n = math.sqrt(n_trials)
+    finite = np.isfinite(sq)
+    if finite.all():
+        moments = zip(sq.mean(axis=-1).tolist(), sq.std(axis=-1).tolist(), [n_trials] * truth.size)
+    else:  # a row alone over its finite trials; one with none is NaN, with no empty-mean warning
+        kept = [row[keep] for row, keep in zip(sq, finite)]
+        moments = [(float(k.mean()), float(k.std()), k.size) if k.size else (math.nan, math.nan, 0) for k in kept]
     return [
-        TrialAggregate(truth=t, mse=mse, sq_err_std=sq_std, mse_std=sq_std / root_n, n_trials=n_trials)
-        for t, mse, sq_std in zip(truth.tolist(), sq.mean(axis=-1).tolist(), sq.std(axis=-1).tolist())
+        TrialAggregate(t, mse, sq_std, sq_std / math.sqrt(n) if n else math.nan, n_trials, n_trials - n)
+        for t, (mse, sq_std, n) in zip(truth.tolist(), moments)
     ]
 
 

@@ -18,6 +18,7 @@ from qnt.experiments import (
     LOSS_FIBER,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
+    MAX_TRIALS,
     READS,
     SWEEP_GRID,
     ExperimentConfig,
@@ -28,7 +29,7 @@ from qnt.experiments import (
 )
 from qnt.lossy import MAX_SLOTS as LOSS_MAX_SLOTS
 from qnt.pauli import PauliChannel
-from qnt.protocols import EstimationError, SpamModel
+from qnt.protocols import SpamModel
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -74,8 +75,8 @@ UNKNOWN_OPTIONS = [
 
 # A small run of each subcommand, without --trials so that --full-scale changes
 # the trial count.  N >= 8000 for star and sweep and N >= 4000 for spam-s and
-# spam-m keep the chance that a trial draws a unicast count of exactly N/2 (and
-# aborts the cell) negligible, under the changed options too.
+# spam-m keep the chance that a trial draws a unicast count of exactly N/2 (a
+# degenerate, NaN trial) negligible, under the changed options too.
 OPTION_PROBE_BASE = {
     "star": ["--m-samples", "8000", "--n-samples", "8000"],
     "sweep": ["--spam-grid", "1:1", "--m-samples", "8000", "--n-samples", "8000"],
@@ -183,9 +184,43 @@ class TestArgParsing:
         with pytest.raises(ValueError, match="gives 100000001 send slots"):
             ExperimentConfig("loss", t_send_s=(0.5,), horizon_s=LOSS_MAX_SLOTS / 2 + 0.5)
 
+    @pytest.mark.parametrize("argv", [
+        ["star", "--trials", "9223372036854775808", "--m-samples", "8000", "--n-samples", "8000"],
+        ["loss", "--trials", "9223372036854775808", "--t-send", "0.5", "--horizon", "10"],
+    ])
+    def test_trials_past_the_cap_is_a_usage_error(self, argv, capsys):
+        # a ratio cell would not fit in memory, and loss would loop over the trials for ever
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: qnt {argv[0]} " in err
+        assert f"qnt {argv[0]}: error: trials must be in [1, 1e+07], got 9223372036854775808" in err
+
+    def test_trial_cap_is_inclusive(self):
+        assert MAX_TRIALS == 10**7
+        assert ExperimentConfig("star", trials=MAX_TRIALS).trials == MAX_TRIALS
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 1e\+07\], got 10000001"):
+            ExperimentConfig("star", trials=MAX_TRIALS + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["etch", "--m", "1e-12", "--trials", "2", "--m-samples", "1000"],
+    ], ids=["sweep", "etch-tiny-m"])
+    def test_degenerate_trials_are_counted_not_fatal(self, argv, tmp_path, monkeypatch):
+        # at the default seed each has trials that cannot divide: a unicast count of
+        # exactly N/2 in sweep, an etch chain head whose ratio is exactly 0
+        monkeypatch.delenv("QNT_SEED", raising=False)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()[1:]
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert sum(int(row["n_degenerate"]) for row in rows) > 0
+        assert all(math.isfinite(float(row["mse"])) for row in rows)
+
     @pytest.mark.parametrize("s", ["1e-12", "9.99e-10"])
     def test_etch_s_below_the_degenerate_tolerance_is_a_usage_error(self, s, capsys):
-        # a first-round edge divides its ratio by s, so every seed would abort
+        # a first-round edge divides its ratio by s, so every first-round trial would be degenerate
         with pytest.raises(SystemExit) as exit_info:
             main(["etch", "--s", s])
         assert exit_info.value.code == 2
@@ -391,7 +426,7 @@ class TestArgParsing:
     def test_row_values_land_in_their_named_columns(self):
         values = dict(
             experiment="x", M=1, N=2, s=3.5, m=4.5, truth=5.5, mse=6.5,
-            mse_std=7.5, crb=8.5, runtime_ms=9.5, seed=10, target="t", step=11,
+            mse_std=7.5, n_degenerate=14, crb=8.5, runtime_ms=9.5, seed=10, target="t", step=11,
             t_send_s=12.5, t_cutoff_s=13.5,
         )
         text = rows_to_csv(small_cfg(), [Row(**values)])
@@ -403,10 +438,10 @@ class TestArgParsing:
     def test_row_cells_keep_their_bytes(self):
         # a numpy float64 is a float: 17 significant digits, like a Python float
         row = Row("etch", np.float64(0.1), 3, math.nan, np.float64(math.nan), math.inf,
-                  -math.inf, np.float64(1e-300), None, 1.5, 7, "E9", 2, None, np.float64(0.5))
+                  -math.inf, np.float64(1e-300), 12, None, 1.5, 7, "E9", 2, None, np.float64(0.5))
         negative_nans = row._replace(s=-math.nan, m=np.float64(-math.nan))
         cells, negative_nan_cells = rows_to_csv(small_cfg(), [row, negative_nans]).splitlines()[2:]
-        assert cells == "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,,1.5,7,E9,2,,0.5"
+        assert cells == "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,12,,1.5,7,E9,2,,0.5"
         assert negative_nan_cells == cells  # a NaN prints nan whatever its sign
 
     @pytest.mark.parametrize(
@@ -530,13 +565,15 @@ class TestRunExperiment:
         assert steps["P12"] == 1 and steps["P2"] == 2 and steps["P1"] == 3
         assert all(row.truth == 0.8 for row in rows)
 
-    def test_loss_driver_grid(self):
+    @pytest.mark.parametrize("horizon, trials", [(300.0, 3), (2.0, 20)])
+    def test_loss_driver_grid(self, horizon, trials):
+        # over 2 s most trials receive nothing: a NaN estimate, counted as degenerate
         cfg = small_cfg(
             experiment="loss",
-            trials=3,
+            trials=trials,
             t_send_s=(0.5,),
             t_cutoff_s=(0.05, 0.35),
-            horizon_s=300.0,
+            horizon_s=horizon,
         )
         rows = run_experiment(cfg)
         assert len(rows) == 2
@@ -546,7 +583,7 @@ class TestRunExperiment:
         assert rows[0].mse == rows[1].mse
         # each row aggregates a direct loop over the per-trial seeds
         channels = tuple(PauliChannel(q, q, q) for q in cfg.q_params)
-        schedule = lossy.Schedule(send_interval_s=0.5, horizon_s=300.0)
+        schedule = lossy.Schedule(send_interval_s=0.5, horizon_s=horizon)
         for row in rows:
             memory = lossy.MemoryParams(LOSS_MEMORY_T1_S, LOSS_MEMORY_T2_S, row.t_cutoff_s)
             results = [
@@ -556,9 +593,11 @@ class TestRunExperiment:
             ]
             assert row.M == sum(r.merged_count for r in results) / cfg.trials
             assert row.N == sum(r.received_count for r in results) / cfg.trials
-            reference = stats.aggregate_mse([r.estimate for r in results], row.truth)
+            estimates = [r.estimate for r in results]
+            reference = stats.aggregate_mse([e for e in estimates if not math.isnan(e)], row.truth)
             assert row.truth == 0.5
             assert (row.mse, row.mse_std) == (reference.mse, reference.mse_std)
+            assert row.n_degenerate == sum(map(math.isnan, estimates)) == (0 if horizon == 300.0 else 18)
 
     def test_star_mse_decreases_with_samples(self):
         cfg = small_cfg(trials=150, m_samples=(2000, 10000), n_samples=(2000, 10000))
@@ -740,11 +779,24 @@ class TestRatioCell:
             assert row.mse == reference.mse
             assert row.mse_std == reference.mse_std
 
-    @pytest.mark.parametrize("experiment", ["star", "spam_s", "spam_m"])
-    def test_tiny_n_cell_still_raises(self, experiment):
-        cfg = small_cfg(experiment=experiment, m_samples=(2,), n_samples=(2,))
-        with pytest.raises(EstimationError):
-            run_experiment(cfg)
+    @pytest.mark.parametrize(
+        "experiment, overrides, stream, numerator, p_num, p_uni, estimator, divisor, truth",
+        RATIO_CASES,
+        ids=[case[0] for case in RATIO_CASES],
+    )
+    def test_tiny_n_cell_counts_its_degenerate_trials(
+        self, experiment, overrides, stream, numerator, p_num, p_uni, estimator, divisor, truth
+    ):
+        # at N = 2 a unicast count of N/2 = 1 makes 2p - 1 = 0 in about half the trials
+        cfg = small_cfg(experiment=experiment, m_samples=(2,), n_samples=(2,), **overrides)
+        (row,) = run_experiment(cfg)
+        num = stats.substream(cfg.seed, f"{stream}|2|2|{numerator}", 0).binomial(2, p_num, size=cfg.trials)
+        uni = stats.substream(cfg.seed, f"{stream}|2|2|uni", 0).binomial(2, p_uni, size=cfg.trials)
+        kept = uni != 1
+        assert 0 < row.n_degenerate == cfg.trials - kept.sum() < cfg.trials
+        reference = stats.aggregate_mse(
+            [estimator(x / 2, y / 2) / divisor for x, y in zip(num[kept].tolist(), uni[kept].tolist())], truth)
+        assert (row.mse, row.mse_std) == (reference.mse, reference.mse_std)
 
 
 # One small config per experiment: etch on fig1 at one M, loss over 300 s, and

@@ -331,18 +331,23 @@ class TestEstimators:
         assert estimate_q_mergecast(merge, uni) == pytest.approx(0.5, abs=ATOL)
 
     def test_degenerate_denominator(self):
-        with pytest.raises(EstimationError):
+        # a scalar call has no trial to give NaN, so it raises
+        expected = r"^mergecast estimator: denominator 2\*p-1 = 0\.0 is degenerate$"
+        with pytest.raises(EstimationError, match=expected):
             estimate_q_mergecast(0.7, 0.5)
 
-    def test_degenerate_entry_is_found_column_by_column(self):
-        # Row-major order would reach (0, 2) first; the last axis is scanned outermost.
-        uni = np.array([[0.6, 0.6, 0.5], [0.6, 0.5 + 1e-10, 0.6]])
-        with pytest.raises(EstimationError, match=r"^mergecast estimator: denominator 2\*p-1 = 2") as info:
-            estimate_q_mergecast(np.full((2, 3), 0.7), uni)
-        assert info.value.column == 1
-        with pytest.raises(EstimationError, match=r"= 0\.0 is degenerate$") as info:
-            estimate_q_mergecast(np.full(4, 0.7), np.array([0.6, 0.6, 0.5, 0.5]))
-        assert info.value.column == 2
+    @pytest.mark.parametrize("merge, uni, degenerate", [
+        (np.full((2, 3), 0.7), np.array([[0.6, 0.6, 0.5], [0.6, 0.5 + 1e-10, 0.6]]),
+         [[False, False, True], [False, True, False]]),
+        (np.array([0.7, 0.4, 0.7, 0.9]), np.array([0.6, 0.6, 0.5, 0.5]), [False, False, True, True]),
+        (0.7, np.array([0.5, 0.3, 0.5 - 4e-10]), [True, False, True]),
+    ])
+    def test_degenerate_entries_are_nan_and_the_rest_divide(self, merge, uni, degenerate):
+        got = estimate_q_mergecast(merge, uni)
+        degenerate = np.array(degenerate)
+        assert np.isnan(got).tolist() == degenerate.tolist()
+        num, den = np.broadcast_arrays(2.0 * np.asarray(merge) - 1.0, 2.0 * uni - 1.0)
+        assert got[~degenerate].tolist() == (num[~degenerate] / den[~degenerate]).tolist()
 
     def test_s_and_m_exact_identities(self):
         for s in (0.3, 0.7, 0.9, 1.0):
@@ -519,22 +524,23 @@ def reference_sweep(topology, spam, samples, bases, rng_for):
                 p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
                 merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{round_num}|{basis}|merge"))
                 uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{round_num}|{basis}|uni"))
-                ratios[basis] = estimate_q_mergecast(merge_out, uni_out)
+                try:
+                    ratios[basis] = estimate_q_mergecast(merge_out, uni_out)
+                except EstimationError:  # a batched sweep gives this trial NaN
+                    ratios[basis] = math.nan
             yield round_num, target, selection.target_chain, ratios
 
 
 def reference_etch(topology, spam, samples, bases, rng_for):
     """:func:`reference_sweep` with each raw ratio divided by the raw ratio of its
-    chain's head, recorded in an earlier round, or by s for an empty chain.
-    Returns (estimates[edge][basis], steps)."""
+    chain's head, recorded in an earlier round, or by s for an empty chain; NaN
+    where that divisor is NaN or below 1e-9.  Returns (estimates[edge][basis], steps)."""
     raw, estimates, steps = {}, {}, {}
     for round_num, target, chain, ratios in reference_sweep(topology, spam, samples, bases, rng_for):
         per_basis = {}
         for basis, ratio in ratios.items():
             correction = raw[chain[0]][basis] if chain else spam.s
-            if abs(correction) < 1e-9:
-                raise EstimationError(f"edge {target!r}, basis {basis}: chain correction {correction}")
-            per_basis[basis] = ratio / correction
+            per_basis[basis] = ratio / correction if abs(correction) >= 1e-9 else math.nan
         raw[target] = ratios
         estimates[target] = per_basis
         steps[target] = round_num
@@ -688,7 +694,10 @@ def two_hub_topology() -> Topology:
 
 
 class TestBatchedEtchingGuards:
-    def test_one_degenerate_trial_in_a_batch_raises(self, monkeypatch):
+    def test_one_degenerate_trial_in_a_batch_is_nan(self, monkeypatch):
+        # C's chain head is a first-round edge, whose ratio is forced below 1e-9 in trials 2 and 3
+        args = (two_hub_topology(), SpamModel(1, 1), (10_000, 10_000))
+        plain = run_progressive_etching(*args, seed=4, bases=("Z",), trials=4).estimates["C"].q_z
         real = protocols.sample_ratio
 
         def forced(*args, **kwargs):
@@ -698,10 +707,9 @@ class TestBatchedEtchingGuards:
             return estimates
 
         monkeypatch.setattr(protocols, "sample_ratio", forced)
-        with pytest.raises(EstimationError, match=r"^edge 'C', basis Z: chain correction 3e-10 "):
-            run_progressive_etching(
-                two_hub_topology(), SpamModel(1, 1), (10_000, 10_000), seed=4, bases=("Z",), trials=4
-            )
+        got = run_progressive_etching(*args, seed=4, bases=("Z",), trials=4).estimates["C"].q_z
+        assert np.isnan(got).tolist() == [False, False, True, True]
+        assert got[:2].tolist() == plain[:2].tolist()
 
     def test_the_same_sweep_without_the_forced_trials_passes(self):
         run = run_progressive_etching(
@@ -710,11 +718,14 @@ class TestBatchedEtchingGuards:
         assert run.steps["C"] == 2 and run.estimates["C"].q_z.shape == (4,)
 
     @pytest.mark.parametrize("trials", [None, 4])
-    def test_degenerate_denominator_names_the_first_edge_in_frontier_order(self, monkeypatch, trials):
+    def test_degenerate_denominator_is_nan_down_its_chains(self, monkeypatch, trials):
         # Round 1 of fig1 is P12..P19 in frontier order.  Columns 5 (P17) and 3 (P15)
-        # are forced degenerate, column 5 in an earlier trial, so a row-major scan of
-        # the batch would name P17.
+        # are forced degenerate, in trials 0 and 2 of a batch.  Each is then NaN in its
+        # forced trial, and so is every edge whose chain head it is; nothing else moves.
         forced_cells = ([5, 3],) if trials is None else ([0, 2], [5, 3])
+        topology = bundled_topology("fig1")
+        args = (topology, SpamModel(1, 1), (10_000, 10_000))
+        plain = run_progressive_etching(*args, seed=4, trials=trials).estimates
         real = protocols.substream
 
         class HalfCounts:
@@ -731,12 +742,19 @@ class TestBatchedEtchingGuards:
             return HalfCounts(rng) if label == "etch|1|Z|uni" else rng
 
         monkeypatch.setattr(protocols, "substream", forced)
-        expected = r"^edge 'P15', basis Z: mergecast estimator: denominator 2\*p-1 = 0\.0 is degenerate$"
-        with pytest.raises(EstimationError, match=expected) as info:
-            run_progressive_etching(
-                bundled_topology("fig1"), SpamModel(1, 1), (10_000, 10_000), seed=4, trials=trials
-            )
-        assert info.value.column == 3
+        got = run_progressive_etching(*args, seed=4, trials=trials).estimates
+        heads = {target: sel.target_chain[0] for selections in network.etching_rounds(topology)
+                 for target, sel in selections if sel.target_chain}
+        assert {"P6", "P8"} <= {edge for edge, head in heads.items() if head in ("P15", "P17")}
+        forced_trial = {"P17": 0, "P15": 2 if trials else 0}
+        for edge in topology.edges:
+            expected = np.atleast_1d(plain[edge].q_z).copy()
+            for source, trial in forced_trial.items():
+                if source in (edge, heads.get(edge)):
+                    expected[trial] = math.nan
+            np.testing.assert_array_equal(np.atleast_1d(got[edge].q_z), expected)  # NaN equals NaN
+            np.testing.assert_array_equal(got[edge].q_x, plain[edge].q_x)
+            np.testing.assert_array_equal(got[edge].q_y, plain[edge].q_y)
 
     @pytest.mark.parametrize("trials", [None, 3])
     def test_zero_samples_raise(self, trials):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,17 +64,33 @@ class TestAggregateMse:
         with pytest.raises(ValueError):
             aggregate_mse([], 0.5)
 
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["finite", "nan-and-inf"])
     @pytest.mark.parametrize("n_trials", [1, 10, 50, 1000])
-    def test_rows_match_one_dimensional_reduction_bit_for_bit(self, rng, n_trials):
+    def test_rows_match_one_dimensional_reduction_bit_for_bit(self, rng, n_trials, degenerate):
         truths = rng.uniform(0.8, 1.0, size=250)
         matrix = rng.normal(0.9, 0.05, size=(250, n_trials))
+        if degenerate:  # NaN and ±inf entries, and an all-NaN row
+            cells = rng.random(matrix.shape)
+            matrix[cells < 0.15] = math.nan
+            matrix[(cells >= 0.15) & (cells < 0.2)] = math.inf
+            matrix[(cells >= 0.2) & (cells < 0.25)] = -math.inf
+            matrix[7] = math.nan
         # a column-major matrix is made row-major first, so it aggregates the same
         for estimates in (matrix, np.asfortranarray(matrix)):
-            for row, truth, agg in zip(matrix, truths, aggregate_mse_rows(estimates, truths)):
-                sq = np.float_power(row.copy() - truth, 2)
-                assert (agg.truth, agg.mse, agg.sq_err_std, agg.n_trials) == (
-                    truth, float(sq.mean()), float(sq.std()), n_trials)
-                assert agg.mse_std == agg.sq_err_std / math.sqrt(n_trials)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                aggs = aggregate_mse_rows(estimates, truths)
+            for row, truth, agg in zip(matrix, truths, aggs):
+                finite = np.isfinite(row)
+                assert (agg.truth, agg.n_trials, agg.n_degenerate) == (truth, n_trials, n_trials - finite.sum())
+                if not finite.any():
+                    assert math.isnan(agg.mse) and math.isnan(agg.sq_err_std) and math.isnan(agg.mse_std)
+                    continue
+                sq = np.float_power(row[finite] - truth, 2)
+                assert (agg.mse, agg.sq_err_std) == (float(sq.mean()), float(sq.std()))
+                assert agg.mse_std == agg.sq_err_std / math.sqrt(finite.sum())
+        if degenerate:
+            assert aggs[7].n_degenerate == n_trials  # the all-NaN row was aggregated
 
     def test_rows_need_one_truth_per_row(self):
         with pytest.raises(ValueError):
