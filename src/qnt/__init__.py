@@ -26,10 +26,8 @@ from .pauli import (
 )
 from .network import (
     Edge,
-    EtchingState,
     Topology,
     etching_rounds,
-    peripheral_edges,
     select_mergecast_branches,
     simplify_degree2,
     validate,

@@ -8,18 +8,17 @@ the options of the config fields its experiment reads (``experiments.READS``), s
 ``--spam-grid``, and the CSV's ``# config`` line records the experiment, the
 versions and those fields.  Options must be spelled in full.  Sample lists accept
 comma-separated values and start:stop:step ranges (inclusive stop).  The seed
-falls back to the ``QNT_SEED`` environment variable, then to 12345.  Default grids
-are desk scale (step 1000, 100 trials); ``--full-scale`` restores the reference
-scale (step 100, 1000 trials unless ``--trials`` is given).  Out-of-range input,
-abbreviated options and options of another subcommand are usage errors (exit
-status 2) shown with the subcommand's usage.
+defaults to 12345.  Default grids are desk scale (step 1000, 100 trials);
+``--full-scale`` restores the reference scale (step 100, 1000 trials unless
+``--trials`` is given).  Out-of-range input, abbreviated options and options of
+another subcommand are usage errors (exit status 2) shown with the subcommand's
+usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -68,14 +67,6 @@ def parse_spam_grid(text: str) -> tuple[tuple[float, float], ...]:
     if not grid:
         raise argparse.ArgumentTypeError(f"empty SPAM grid {text!r}")
     return tuple(grid)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("QNT_SEED")
-    try:
-        return int(env) if env else 12345
-    except ValueError:
-        raise ValueError(f"QNT_SEED must be an integer, got {env!r}") from None
 
 
 # Each config field's option: its flag and argparse keywords.  A subcommand offers
@@ -131,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs = {k: v for k, v in vars(args).items() if v is not None}
-    if args.seed is None:
-        kwargs["seed"] = _default_seed()
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 # argparse reads a value that starts like a negative number but is not one

@@ -36,8 +36,10 @@ from . import __version__, lossy, network, protocols, stats, topo_io
 from .pauli import ChannelValidationError, PauliChannel
 from .protocols import SpamModel
 
-# The most trials a cell may have: a ratio cell holds its trials' counts, estimates
-# and squared errors at once, about 66 bytes per trial, so 0.7 GB at the cap.
+# The most trials a cell may have, and the most trials times edges an etch run may
+# have: a ratio cell holds its trials' counts, estimates and squared errors at once,
+# about 66 bytes per trial, and an etch run about 57 bytes per trial and edge, so at
+# most 0.7 GB at the cap.
 MAX_TRIALS = 10**7
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
@@ -71,11 +73,11 @@ class ExperimentConfig:
     (``spam-s`` is ``spam_s``).  ``channels``, not a field, holds the depolarizing
     channels of the q values the experiment reads.  An unknown experiment, a field
     outside ``READS[experiment]`` set away from its default, and out-of-range values,
-    including a negative seed, more than ``MAX_TRIALS`` trials, a zero SPAM parameter
-    or q divisor, loss timings that :mod:`qnt.lossy` rejects (more than
-    ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be read or etched, an
-    etch ``s`` too small to divide by, and an output path that is a directory or in no
-    existing directory raise ``ValueError``."""
+    including a negative seed, more than ``MAX_TRIALS`` trials (or trials times etch
+    edges), a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
+    rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be
+    read or etched, an etch ``s`` too small to divide by, and an output path that is a
+    directory or in no existing directory raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -147,7 +149,10 @@ class ExperimentConfig:
             if self.s < protocols.DEGENERATE_DENOMINATOR_TOL:  # first-round edges divide by s alone
                 raise ValueError(f"etch divides by s, so s must be at least "
                                  f"{protocols.DEGENERATE_DENOMINATOR_TOL:g}, got s={self.s!r}")
-            self.topology  # read and checked here, so a bad file is a usage error
+            edges = len(self.topology.edges)  # read and checked here, so a bad file is a usage error
+            if self.trials * edges > MAX_TRIALS:  # an etch run holds every edge's trials at once
+                raise ValueError(f"etch holds trials x edges = {self.trials} x {edges} estimates "
+                                 f"at once, at most {MAX_TRIALS:.0e}")
 
     @functools.cached_property
     def topology(self) -> network.Topology:

@@ -6,8 +6,8 @@ A topology is an undirected multigraph whose nodes are either ``monitor``
 periphery inward: :func:`etching_rounds` yields each round's targets with
 their Mergecast branch selections and then promotes the merge nodes to
 *effective monitors*, each with a chain of identified edges back to a real
-monitor (:class:`EtchingState`).  :mod:`qnt.protocols` turns the rounds into
-estimates.
+monitor (its entry in the ``chains`` map).  :mod:`qnt.protocols` turns the
+rounds into estimates.
 
 Degree-2 internal nodes make their incident channels individually
 unidentifiable; :func:`simplify_degree2` contracts each maximal chain of
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -271,35 +271,6 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
     return Topology(nodes, [*surviving, *contracted]), equivalents
 
 
-@dataclass
-class EtchingState:
-    """Bookkeeping of the progressive etching sweep.
-
-    ``identified`` is the set of estimated edges.  ``chains`` maps each
-    effective monitor to its node-outward chain of identified edges back to
-    a real monitor (the first element is the edge incident to the node;
-    empty for a real monitor).
-    """
-
-    identified: set = field(default_factory=set)
-    chains: dict = field(default_factory=dict)
-
-    @classmethod
-    def initial(cls, topology: Topology) -> "EtchingState":
-        return cls(chains=dict.fromkeys(topology.monitors, ()))
-
-
-def peripheral_edges(topology: Topology, state: EtchingState) -> set:
-    """Unidentified edges with at least one endpoint in the effective monitors."""
-    out = set()
-    for edge_id, edge in topology.edges.items():
-        if edge_id in state.identified:
-            continue
-        if edge.node_a in state.chains or edge.node_b in state.chains:
-            out.add(edge_id)
-    return out
-
-
 @dataclass(frozen=True)
 class BranchSelection:
     """Two physically disjoint monitor-reaching branches for Mergecast.
@@ -327,7 +298,7 @@ class BranchSelection:
 
 def _ranked_monitors(
     topology: Topology,
-    state: EtchingState,
+    chains: Mapping[str, tuple[str, ...]],
     start: str,
     blocked_edges: set,
 ) -> Iterator[tuple[str, tuple[str, ...], tuple[str, ...]]]:
@@ -346,7 +317,6 @@ def _ranked_monitors(
     edges = topology.edges
     adjacency = topology._adjacency
     keys = topology._keys
-    chains = state.chains
     parent: dict[str, Optional[tuple[str, str]]] = {start: None}
     heap: list = []
     discovered = {start}  # so the start is never yielded
@@ -385,11 +355,13 @@ def _ranked_monitors(
 
 def select_mergecast_branches(
     topology: Topology,
-    state: EtchingState,
+    chains: Mapping[str, tuple[str, ...]],
     target: str,
 ) -> BranchSelection:
     """Pick the two Mergecast branches for a frontier edge.
 
+    ``chains`` maps each effective monitor to its node-outward chain of
+    identified edges back to a real monitor (``()`` for a real monitor).
     The target edge must have an endpoint in the effective monitors; the
     merge happens at the other endpoint.  Branches are edge-disjoint from
     each other, from the target, and from the identified chains backing
@@ -400,7 +372,6 @@ def select_mergecast_branches(
     name order, and the first edge-disjoint pair wins.
     """
     edge = topology.edges[target]
-    chains = state.chains
     a, b = edge.node_a, edge.node_b
     candidates = [(outer, center) for outer, center in ((a, b), (b, a)) if outer in chains]
     if not candidates:
@@ -411,13 +382,13 @@ def select_mergecast_branches(
     for outer, center in candidates:
         target_chain = chains[outer]
         reserved = {target}.union(target_chain)
-        for monitor_a, path_a, chain_a in _ranked_monitors(topology, state, center, reserved):
+        for monitor_a, path_a, chain_a in _ranked_monitors(topology, chains, center, reserved):
             if monitor_a == outer:
                 continue
             used = reserved.union(path_a, chain_a)
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
-            for monitor_b, path_b, chain_b in _ranked_monitors(topology, state, center, used):
+            for monitor_b, path_b, chain_b in _ranked_monitors(topology, chains, center, used):
                 if monitor_b in (outer, monitor_a):
                     continue
                 if len(used.union(path_b, chain_b)) != len(used) + len(path_b) + len(chain_b):
@@ -433,21 +404,27 @@ def select_mergecast_branches(
 def etching_rounds(topology: Topology) -> Iterator[list[tuple[str, BranchSelection]]]:
     """Yield the rounds of progressive etching as ``[(target, selection), ...]``.
 
-    A round is the frozen frontier of :func:`peripheral_edges` in natural
-    edge order, with one branch selection per target made before the round
-    is yielded.  Once the caller has taken a round, its edges count as
-    identified and each merge node becomes an effective monitor whose chain
-    runs through the target; a node promoted in a round is not visible within
-    it, and the first promotion of a node wins.
+    ``chains``, the only state, maps each effective monitor to its node-outward
+    chain of identified edges (``()`` for a real monitor).  A round is the
+    unidentified edges at the effective monitors in natural edge order, with one
+    branch selection per target made before the round is yielded.  Once the
+    caller has taken a round, its edges count as identified and each merge node
+    becomes an effective monitor whose chain runs through the target; a node
+    promoted in a round is not visible within it, and the first promotion wins.
     """
-    state = EtchingState.initial(topology)
+    chains = dict.fromkeys(topology.monitors, ())
+    rank = {e: i for i, e in enumerate(topology.sorted_edge_ids())}  # equal keys keep insertion order
+    promoted, frontier = topology.monitors, ()
     while True:
-        frontier = sorted(peripheral_edges(topology, state), key=topology._keys.__getitem__)
+        # A round takes its whole frontier or raises, so edges at older effective
+        # monitors are all identified; a node promoted last round has no identified
+        # edges but that round's targets (the previous frontier).
+        frontier = sorted({e for node in promoted for e in topology.incident_edges(node)}
+                          .difference(frontier), key=rank.__getitem__)
         if not frontier:
             return
-        selections = [(target, select_mergecast_branches(topology, state, target))
-                      for target in frontier]
+        selections = [(t, select_mergecast_branches(topology, chains, t)) for t in frontier]
         yield selections
+        promoted = {selection.merge_node for _, selection in selections} - chains.keys()
         for target, selection in selections:
-            state.identified.add(target)
-            state.chains.setdefault(selection.merge_node, (target, *selection.target_chain))
+            chains.setdefault(selection.merge_node, (target, *selection.target_chain))

@@ -35,17 +35,14 @@ class TrialAggregate(NamedTuple):
     """Per-experiment error summary across repeated trials.
 
     ``mse`` is the mean of squared errors over the trials with a finite estimate,
-    ``sq_err_std`` their standard deviation, and ``mse_std = sq_err_std / sqrt(count)``
-    the resulting uncertainty of the MSE itself (both are exposed since plotting
-    conventions differ).  ``n_degenerate`` counts the other trials; with none
-    left, all three are NaN.
+    and ``mse_std`` their standard deviation over the square root of their count,
+    the uncertainty of the MSE itself.  ``n_degenerate`` counts the other trials;
+    with none left, both are NaN.
     """
 
     truth: float
     mse: float
-    sq_err_std: float
     mse_std: float
-    n_trials: int
     n_degenerate: int
 
 
@@ -82,7 +79,7 @@ def aggregate_mse_rows(
         kept = [row[keep] for row, keep in zip(sq, finite)]
         moments = [(float(k.mean()), float(k.std()), k.size) if k.size else (math.nan, math.nan, 0) for k in kept]
     return [
-        TrialAggregate(t, mse, sq_std, sq_std / math.sqrt(n) if n else math.nan, n_trials, n_trials - n)
+        TrialAggregate(t, mse, sq_std / math.sqrt(n) if n else math.nan, n_trials - n)
         for t, (mse, sq_std, n) in zip(truth.tolist(), moments)
     ]
 

@@ -122,26 +122,15 @@ class TestArgParsing:
         assert cfg.seed == 3
         assert cfg.m_samples == (100,)
 
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("QNT_SEED", "991")
-        args = build_parser().parse_args(["star"])
-        assert config_from_args(args).seed == 991
-
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "QNT_SEED must be an integer, got 'abc'"),
-        ("-3", "seed must be non-negative, got -3"),
-    ])
-    def test_bad_env_seed_is_a_usage_error(self, value, message, monkeypatch, capsys):
-        monkeypatch.setenv("QNT_SEED", value)
+    def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["loss", "--trials", "1"])
+            main(["loss", "--trials", "1", "--seed", "-3"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "usage: qnt loss " in err
-        assert f"qnt loss: error: {message}" in err
+        assert "qnt loss: error: seed must be non-negative, got -3" in err
 
-    def test_successive_mains_share_no_state(self, monkeypatch, capsys):
-        monkeypatch.delenv("QNT_SEED", raising=False)
+    def test_successive_mains_share_no_state(self, capsys):
         configs = []
         first = ["star", "--s", "0.9", "--seed", "1", "--m-samples", "10000", "--n-samples", "10000"]
         for argv in (first, ["star"]):
@@ -203,14 +192,20 @@ class TestArgParsing:
         with pytest.raises(ValueError, match=r"trials must be in \[1, 1e\+07\], got 10000001"):
             ExperimentConfig("star", trials=MAX_TRIALS + 1)
 
+    def test_etch_trial_cap_counts_the_edges(self):
+        # an etch run holds every edge's trials at once; the bundled fig1 has 19 edges
+        assert ExperimentConfig("etch", trials=526315).trials == 526315
+        with pytest.raises(ValueError, match=r"etch holds trials x edges = 526316 x 19 estimates "
+                                             r"at once, at most 1e\+07"):
+            ExperimentConfig("etch", trials=526316)
+
     @pytest.mark.parametrize("argv", [
         ["sweep"],
         ["etch", "--m", "1e-12", "--trials", "2", "--m-samples", "1000"],
     ], ids=["sweep", "etch-tiny-m"])
-    def test_degenerate_trials_are_counted_not_fatal(self, argv, tmp_path, monkeypatch):
+    def test_degenerate_trials_are_counted_not_fatal(self, argv, tmp_path):
         # at the default seed each has trials that cannot divide: a unicast count of
         # exactly N/2 in sweep, an etch chain head whose ratio is exactly 0
-        monkeypatch.delenv("QNT_SEED", raising=False)
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 0
         header, *lines = out.read_text().splitlines()[1:]
@@ -298,6 +293,8 @@ class TestArgParsing:
             ["star", "--m-samples", "9223372036854775808", "--n-samples", "8000", "--trials", "2"],
             ["star", "--n-samples", "8000,9223372036854775808", "--trials", "2"],
             ["etch", "--m-samples", "9223372036854775808"],
+            # 526316 trials x 19 edges of fig1 is past MAX_TRIALS
+            ["etch", "--trials", "526316"],
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -386,9 +383,8 @@ class TestArgParsing:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(vars(build_parser().parse_args([name]))) - {"experiment"} <= fields
 
-    def test_every_option_changes_the_rows_or_is_a_usage_error(self, monkeypatch, capsys):
+    def test_every_option_changes_the_rows_or_is_a_usage_error(self, capsys):
         # an option that is parsed and recorded but changes no row misleads
-        monkeypatch.delenv("QNT_SEED", raising=False)
 
         def rows(argv):
             try:

@@ -10,12 +10,10 @@ from qnt.network import (
     BranchSelectionError,
     Edge,
     EquivalentChannel,
-    EtchingState,
     Topology,
     TopologyError,
     etching_rounds,
     natural_key,
-    peripheral_edges,
     select_mergecast_branches,
     simplify_degree2,
     validate,
@@ -390,14 +388,6 @@ class TestSimplifyDegree2:
         assert min(seen.values()) >= 200, seen
 
 
-class TestPeripheralEdges:
-    def test_all_identified_empty(self):
-        topo = star3()
-        state = EtchingState.initial(topo)
-        state.identified.update(topo.edges)
-        assert peripheral_edges(topo, state) == set()
-
-
 class TestEtchingRounds:
     def test_fig1_three_rounds(self):
         rounds = list(etching_rounds(bundled_topology("fig1")))
@@ -411,12 +401,40 @@ class TestEtchingRounds:
         [(_, last)] = rounds[2]
         assert (last.merge_node, last.target_chain) == ("A2", ("P2", "P12"))
 
+    def test_each_frontier_is_every_unidentified_edge_at_an_effective_monitor(self):
+        # brute force: rescan every edge before each round, natural order with
+        # insertion order between equal keys (the colliding-edge topologies)
+        topologies = [random_mesh(seed, 6 + seed % 15, 1 + seed % 5) for seed in range(300)]
+        topologies += [random_tree(seed, 20 + 7 * seed) for seed in range(8)]
+        topologies += [colliding_edge_names("E1", "E01"), colliding_edge_names("E01", "E1")]
+        stuck = 0
+        for topo in topologies:
+            identified, effective = set(), set(topo.monitors)
+            rounds = etching_rounds(topo)
+            while True:
+                expected = [e for e in topo.sorted_edge_ids()
+                            if e not in identified and topo.edges[e].endpoints & effective]
+                try:
+                    selections = next(rounds)
+                except StopIteration:
+                    assert expected == []
+                    break
+                except BranchSelectionError as err:
+                    # a stuck mesh raises on a target of the round it could not take
+                    assert any(f"target {e!r}" in str(err) for e in expected)
+                    stuck += 1
+                    break
+                assert [target for target, _ in selections] == expected
+                identified.update(expected)
+                effective.update(selection.merge_node for _, selection in selections)
+        assert 0 < stuck < 300
+
 
 class TestBranchSelection:
     def test_star_single_edge_branches(self):
         topo = star3()
-        state = EtchingState.initial(topo)
-        sel = select_mergecast_branches(topo, state, "P1")
+        chains = dict.fromkeys(topo.monitors, ())
+        sel = select_mergecast_branches(topo, chains, "P1")
         assert sel.merge_node == "C"
         assert {sel.path_a2, sel.path_b} == {("P2",), ("P3",)}
         assert sel.target_chain == ()
@@ -429,15 +447,15 @@ class TestBranchSelection:
                  Edge("E3", "A", "B", UNIFORM), Edge("E4", "S", "B", UNIFORM),
                  Edge("E5", "A", "M2", UNIFORM), Edge("E6", "B", "M3", UNIFORM)]
         topo = Topology(nodes, edges)
-        state = EtchingState.initial(topo)
-        state.chains["S"] = ("E1",)
-        ranked = list(network._ranked_monitors(topo, state, "S", set()))
+        chains = dict.fromkeys(topo.monitors, ())
+        chains["S"] = ("E1",)
+        ranked = list(network._ranked_monitors(topo, chains, "S", set()))
         assert ranked == [("M1", ("E1",), ()), ("M2", ("E2", "E5"), ()), ("M3", ("E4", "E6"), ())]
 
     def test_fig1_peripheral_target(self):
         topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        sel = select_mergecast_branches(topo, state, "P12")
+        chains = dict.fromkeys(topo.monitors, ())
+        sel = select_mergecast_branches(topo, chains, "P12")
         assert sel.merge_node == "B1"
         # shortest-path selection lands on one 2-edge and one 3-edge branch
         assert {sel.full_a2, sel.full_b} == {("P3", "P13"), ("P2", "P11", "P19")}
@@ -455,13 +473,13 @@ class TestBranchSelection:
 
     def test_interior_nodes_are_not_monitors(self):
         topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        sel = select_mergecast_branches(topo, state, "P12")
+        chains = dict.fromkeys(topo.monitors, ())
+        sel = select_mergecast_branches(topo, chains, "P12")
         for path in (sel.path_a2, sel.path_b):
             node = "B1"
             for edge_id in path[:-1]:
                 node = topo.edges[edge_id].other(node)
-                assert node not in state.chains
+                assert node not in chains
 
     def test_single_reachable_monitor_fails(self):
         # Every monitor-reaching path from the merge node B ends at the same
@@ -481,19 +499,19 @@ class TestBranchSelection:
             Edge("E6", "C", "A", UNIFORM),
         ]
         topo = Topology(nodes, edges)
-        state = EtchingState.initial(topo)
+        chains = dict.fromkeys(topo.monitors, ())
         with pytest.raises(BranchSelectionError):
-            select_mergecast_branches(topo, state, "E4")
+            select_mergecast_branches(topo, chains, "E4")
 
     def test_deterministic(self):
         topo = bundled_topology("fig1")
-        state = EtchingState.initial(topo)
-        first = select_mergecast_branches(topo, state, "P12")
-        second = select_mergecast_branches(topo, state, "P12")
+        chains = dict.fromkeys(topo.monitors, ())
+        first = select_mergecast_branches(topo, chains, "P12")
+        second = select_mergecast_branches(topo, chains, "P12")
         assert first == second
 
 
-def _reference_paths(topology, state, start, blocked_edges):
+def _reference_paths(topology, chains, start, blocked_edges):
     # reference search: a full-graph BFS to every reachable effective monitor
     paths = {}
     visited = {start}
@@ -504,7 +522,7 @@ def _reference_paths(topology, state, start, blocked_edges):
             if edge_id in blocked_edges or edge_id in path:
                 continue
             other = topology.edges[edge_id].other(node)
-            if other in state.chains:
+            if other in chains:
                 if other not in paths and other != start:
                     paths[other] = path + (edge_id,)
                 continue
@@ -515,12 +533,12 @@ def _reference_paths(topology, state, start, blocked_edges):
     return paths
 
 
-def reference_select(topology, state, target):
+def reference_select(topology, chains, target):
     """Branch selection by full BFS plus a sort of every reachable monitor."""
     edge = topology.edges[target]
     candidates = sorted(
         ((outer, center) for outer, center in ((edge.node_a, edge.node_b), (edge.node_b, edge.node_a))
-         if outer in state.chains),
+         if outer in chains),
         key=lambda pair: natural_key(pair[0]),
     )
     if not candidates:
@@ -528,25 +546,25 @@ def reference_select(topology, state, target):
 
     def ranked(paths):
         return sorted(paths, key=lambda mon: (
-            len(paths[mon]) + len(state.chains[mon]), natural_key(mon)))
+            len(paths[mon]) + len(chains[mon]), natural_key(mon)))
 
     last_error = f"no disjoint branch pair found for target {target!r}"
     for outer, center in candidates:
-        target_chain = state.chains[outer]
+        target_chain = chains[outer]
         reserved = set(target_chain) | {target}
-        first_paths = _reference_paths(topology, state, center, reserved)
+        first_paths = _reference_paths(topology, chains, center, reserved)
         for monitor_a in ranked(first_paths):
             if monitor_a == outer:
                 continue
-            path_a, chain_a = first_paths[monitor_a], state.chains[monitor_a]
+            path_a, chain_a = first_paths[monitor_a], chains[monitor_a]
             used = reserved | set(path_a) | set(chain_a)
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
-            second_paths = _reference_paths(topology, state, center, used)
+            second_paths = _reference_paths(topology, chains, center, used)
             for monitor_b in ranked(second_paths):
                 if monitor_b in (outer, monitor_a):
                     continue
-                path_b, chain_b = second_paths[monitor_b], state.chains[monitor_b]
+                path_b, chain_b = second_paths[monitor_b], chains[monitor_b]
                 if len(used | set(path_b) | set(chain_b)) != len(used) + len(path_b) + len(chain_b):
                     continue
                 return BranchSelection(center, target_chain, path_a, chain_a, path_b, chain_b)
@@ -705,9 +723,9 @@ def _etch_against_reference(monkeypatch, topology, bases=("Z",)) -> list:
         except BranchSelectionError as err:
             return f"BranchSelectionError: {err}"
 
-    def checked(topology, state, target):
-        got = outcome(select_mergecast_branches, topology, state, target)
-        pairs.append((got, outcome(reference_select, topology, state, target)))
+    def checked(topology, chains, target):
+        got = outcome(select_mergecast_branches, topology, chains, target)
+        pairs.append((got, outcome(reference_select, topology, chains, target)))
         if isinstance(got, str):
             raise BranchSelectionError(got)
         return got
@@ -739,7 +757,7 @@ class TestSelectionMatchesReference:
     def test_colliding_monitor_names(self, monkeypatch):
         pairs = _etch_against_reference(monkeypatch, colliding_names())
         assert all(not isinstance(got, str) for got, _ in pairs)
-        sel = select_mergecast_branches(colliding_names(), EtchingState.initial(colliding_names()), "B2")
+        sel = select_mergecast_branches(colliding_names(), dict.fromkeys(colliding_names().monitors, ()), "B2")
         assert (sel.path_a2, sel.path_b) == (("B1",), ("C", "A1"))
 
     def test_equal_rank_found_a_level_later_wins_by_name(self):
@@ -751,11 +769,11 @@ class TestSelectionMatchesReference:
                  Edge("E1", "C", "B", UNIFORM), Edge("E2", "C", "D", UNIFORM),
                  Edge("E3", "D", "A", UNIFORM), Edge("E4", "C", "Z", UNIFORM)]
         topo = Topology(nodes, edges)
-        state = EtchingState.initial(topo)
-        state.chains["B"] = ("Q",)
-        sel = select_mergecast_branches(topo, state, "T")
+        chains = dict.fromkeys(topo.monitors, ())
+        chains["B"] = ("Q",)
+        sel = select_mergecast_branches(topo, chains, "T")
         assert (sel.path_a2, sel.path_b, sel.chain_b) == (("E4",), ("E2", "E3"), ())
-        assert sel == reference_select(topo, state, "T")
+        assert sel == reference_select(topo, chains, "T")
 
     def test_seeded_trees(self, monkeypatch):
         for seed in range(20):

@@ -41,8 +41,8 @@ class TestAggregateMse:
     def test_exact_estimates(self):
         agg = aggregate_mse([0.5, 0.5, 0.5], truth=0.5)
         assert agg.mse == 0.0
-        assert agg.sq_err_std == 0.0
-        assert agg.n_trials == 3
+        assert agg.mse_std == 0.0
+        assert agg.n_degenerate == 0
 
     def test_symmetric_deviation(self):
         delta = 0.03
@@ -57,8 +57,10 @@ class TestAggregateMse:
         assert a.mse_std == pytest.approx(b.mse_std, abs=1e-15)
 
     def test_mse_std_scaling(self):
-        agg = aggregate_mse([0.4, 0.6, 0.5, 0.55], truth=0.5)
-        assert agg.mse_std == pytest.approx(agg.sq_err_std / math.sqrt(4), abs=1e-15)
+        values = [0.4, 0.6, 0.5, 0.55]
+        agg = aggregate_mse(values, truth=0.5)
+        sq_err_std = float(np.std(np.float_power(np.subtract(values, 0.5), 2)))
+        assert agg.mse_std == pytest.approx(sq_err_std / math.sqrt(4), abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -82,13 +84,13 @@ class TestAggregateMse:
                 aggs = aggregate_mse_rows(estimates, truths)
             for row, truth, agg in zip(matrix, truths, aggs):
                 finite = np.isfinite(row)
-                assert (agg.truth, agg.n_trials, agg.n_degenerate) == (truth, n_trials, n_trials - finite.sum())
+                assert (agg.truth, agg.n_degenerate) == (truth, n_trials - finite.sum())
                 if not finite.any():
-                    assert math.isnan(agg.mse) and math.isnan(agg.sq_err_std) and math.isnan(agg.mse_std)
+                    assert math.isnan(agg.mse) and math.isnan(agg.mse_std)
                     continue
                 sq = np.float_power(row[finite] - truth, 2)
-                assert (agg.mse, agg.sq_err_std) == (float(sq.mean()), float(sq.std()))
-                assert agg.mse_std == agg.sq_err_std / math.sqrt(finite.sum())
+                assert agg.mse == float(sq.mean())
+                assert agg.mse_std == float(sq.std()) / math.sqrt(finite.sum())
         if degenerate:
             assert aggs[7].n_degenerate == n_trials  # the all-NaN row was aggregated
 
