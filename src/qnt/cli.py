@@ -76,7 +76,8 @@ _OPTIONS = {
     "topology_path": ("--topology", dict(help="topology file (defaults to the bundled 19-edge network)")),
     "s": ("--s", dict(type=float, help="preparation parameter s (default 1)")),
     "m": ("--m", dict(type=float, help="measurement parameter m (default 1)")),
-    "q_params": ("--q", dict(type=parse_float_list, help="channel q values, e.g. 0.5,0.25,0.35")),
+    "q_params": ("--q", dict(type=parse_float_list, help="channel q values: three (default 0.5,0.25,0.35), "
+                             "or two for spam-s and spam-m (default 0.5,0.25)")),
     "m_samples": ("--m-samples", dict(type=parse_int_list,
                                       help="merge-side sample sizes (list or start:stop:step)")),
     "n_samples": ("--n-samples", dict(type=parse_int_list, help="unicast-side sample sizes")),

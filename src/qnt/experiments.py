@@ -54,8 +54,9 @@ READS = {
     "etch": ("topology_path", "s", "m", "m_samples", *_RUN),
     "loss": ("s", "m", "q_params", "t_send_s", "t_cutoff_s", "horizon_s", *_RUN),
 }
-# How many of ``q_params`` each experiment that reads them uses.
-_Q_PARAMS_READ = {"star": 3, "sweep": 3, "loss": 3, "spam_s": 2, "spam_m": 2}
+# The default ``q_params`` of each experiment that reads them; it reads exactly that many.
+Q_DEFAULTS = {"star": (0.5, 0.25, 0.35), "sweep": (0.5, 0.25, 0.35), "loss": (0.5, 0.25, 0.35),
+              "spam_s": (0.5, 0.25), "spam_m": (0.5, 0.25)}
 # The loss experiment's fixed hardware: a 10 km fiber and the merge node's memory.
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
@@ -69,12 +70,14 @@ VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.pyth
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale defaults,
-    an unset ``spam_grid`` to ``SWEEP_GRID``, and ``experiment`` to its ``READS`` key
-    (``spam-s`` is ``spam_s``).  ``channels``, not a field, holds the depolarizing
-    channels of the q values the experiment reads.  An unknown experiment, a field
-    outside ``READS[experiment]`` set away from its default, and out-of-range values,
-    including a negative seed, more than ``MAX_TRIALS`` trials (or trials times etch
-    edges), a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
+    an unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to ``Q_DEFAULTS``, and
+    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``channels``, not a
+    field, holds the depolarizing channels of the q values.  An unknown experiment, a
+    field outside ``READS[experiment]`` set away from its default, and out-of-range
+    values, including a negative seed, more than ``MAX_TRIALS`` trials (or trials times
+    etch edges), a q count other than its ``Q_DEFAULTS`` entry's, a q with |q| above 1
+    (``PauliChannel`` allows rounding slack past it), a zero SPAM parameter or q
+    divisor, loss timings that :mod:`qnt.lossy`
     rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be
     read or etched, an etch ``s`` too small to divide by, and an output path that is a
     directory or in no existing directory raise ``ValueError``."""
@@ -86,7 +89,7 @@ class ExperimentConfig:
     m: float = 1.0
     m_samples: tuple[int, ...] = ()
     n_samples: tuple[int, ...] = ()
-    q_params: tuple[float, ...] = (0.5, 0.25, 0.35)
+    q_params: tuple[float, ...] = ()
     topology_path: Optional[str] = None
     spam_grid: tuple[tuple[float, float], ...] = ()
     t_send_s: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -110,7 +113,8 @@ class ExperimentConfig:
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must be in [1, {MAX_TRIALS:.0e}], got {self.trials}")
         grid = FULL_GRID if self.full_scale else DESK_GRID
-        for name, default in (("m_samples", grid), ("n_samples", grid), ("spam_grid", SWEEP_GRID)):
+        for name, default in (("m_samples", grid), ("n_samples", grid), ("spam_grid", SWEEP_GRID),
+                              ("q_params", Q_DEFAULTS.get(self.experiment))):
             if name in reads and not getattr(self, name):
                 setattr(self, name, default)
         if min(self.m_samples + self.n_samples, default=1) < 1:
@@ -121,13 +125,13 @@ class ExperimentConfig:
             raise ValueError(f"output path {self.output_path!r} is a directory")
         if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
             raise ValueError(f"output path {self.output_path!r} is in no existing directory")
-        needed = _Q_PARAMS_READ[self.experiment] if "q_params" in reads else 0
-        if len(self.q_params) < needed:
-            raise ValueError(
-                f"{typed} needs {needed} q values, got {len(self.q_params)}"
-            )
+        needed = len(Q_DEFAULTS.get(self.experiment, ()))
+        if len(self.q_params) != needed:
+            raise ValueError(f"{typed} needs {needed} q values, got {len(self.q_params)}")
         self.channels = ()
-        for index, q in enumerate(self.q_params[:needed], start=1):
+        for index, q in enumerate(self.q_params, start=1):
+            if abs(q) > 1:  # PauliChannel allows rounding slack past 1, which a sampled probability cannot
+                raise ValueError(f"q{index} = {q!r} is not a channel: |q| exceeds 1")
             try:
                 self.channels += (PauliChannel(q, q, q),)  # a depolarizing channel needs q in [-1/3, 1]
             except ChannelValidationError as err:
@@ -159,7 +163,7 @@ class ExperimentConfig:
         """The simplified etch topology (the bundled ``fig1`` without a path), read once.
 
         A file that cannot be read, parsed, simplified or etched, or whose simplified
-        edges include a zero q_Z, raises ``ValueError``.
+        edges include a zero q_Z or any |q| above 1, raises ``ValueError``.
         """
         where = self.topology_path or "fig1"
         try:
@@ -176,6 +180,8 @@ class ExperimentConfig:
         if problems:
             raise ValueError(f"topology {where} cannot be etched: " + "; ".join(map(str, problems)))
         for edge_id in simplified.sorted_edge_ids():
+            if max(map(abs, simplified.edges[edge_id].channel.q)) > 1:  # as for --q values
+                raise ValueError(f"topology {where}: edge {edge_id!r} has a |q| above 1")
             if simplified.edges[edge_id].channel.q_z == 0:  # run_etch estimates q_Z by dividing by it
                 raise ValueError(f"topology {where}: edge {edge_id!r} has q_Z = 0, which etching cannot estimate")
         return simplified
@@ -248,7 +254,6 @@ def _ratio_rows(
     numerator: str,
     p_num: float,
     p_uni: float,
-    estimator: Callable,
     divisor: float,
     truth: float,
     target: str,
@@ -258,15 +263,13 @@ def _ratio_rows(
 
     Each cell draws all its trials with :func:`protocols.sample_ratio` under
     the label ``{stream}|{M}|{N}``, and each trial estimates
-    ``estimator(p_num_hat, p_uni_hat) / divisor``.
+    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.
     """
     rows = []
     for samples in itertools.product(cfg.m_samples, cfg.n_samples):
         start = time.perf_counter()
-        estimates = protocols.sample_ratio(
-            estimator, p_num, p_uni, samples, cfg.seed,
-            f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator=numerator,
-        )
+        estimates = protocols.sample_ratio(p_num, p_uni, samples, cfg.seed,
+                                           f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator)
         runtime = (time.perf_counter() - start) * 1e3
         rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
                          runtime, crb=crb(*samples), target=target))
@@ -286,7 +289,6 @@ def run_star(cfg: ExperimentConfig) -> list[Row]:
             numerator="merge",
             p_num=p_num,
             p_uni=p_uni,
-            estimator=protocols.estimate_q_mergecast,
             divisor=spam.s,
             truth=ch1.q_z,
             target="qZ1",
@@ -308,7 +310,6 @@ def run_spam_s(cfg: ExperimentConfig) -> list[Row]:
         numerator="root",
         p_num=p_num,
         p_uni=p_uni,
-        estimator=protocols.estimate_s,
         divisor=1.0,
         truth=spam.s,
         target="s",
@@ -326,7 +327,6 @@ def run_spam_m(cfg: ExperimentConfig) -> list[Row]:
         numerator="pair",
         p_num=protocols.spam_m_protocol_probs(path, path, spam)[4],
         p_uni=protocols.unicast_prob(path, spam),
-        estimator=protocols.estimate_m,
         divisor=1.0,
         truth=spam.m,
         target="m",

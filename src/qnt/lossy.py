@@ -152,7 +152,10 @@ def _merge_outcome_prob(
     diagonals = _diagonals(channels)
     fresh = np.array([1.0, 0.0, 0.0, spam.s]) * diagonals[:2]  # a qubit from each root, arrived
     stored = _decay(fresh, np.reshape(waits, (-1, 2, 1)), memory)
-    return _merge_prob(stored[:, 0], stored[:, 1], diagonals[None, 2:3], spam.m)
+    visited: list = []
+    probs = _merge_prob(stored[:, 0], stored[:, 1], diagonals[None, 2:3], spam.m, visited)
+    _physical(np.concatenate(visited))
+    return probs
 
 
 def _pair_gaps(arrived: np.ndarray, k: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,17 +163,13 @@ def _cnot(control: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _merge_prob(control: np.ndarray, target: np.ndarray, relay: np.ndarray, m: float,
-                visited: Optional[list] = None) -> np.ndarray:
+                visited: list) -> np.ndarray:
     """P(outcome 0) per row after the merge step: CNOT from ``control`` onto ``target``,
     discard the control, send the target down ``relay`` (diagonals) and measure it.
-    The states it passes through go to ``visited`` if given, else are checked here."""
-    states = [_cnot(control, target)[:, :4]]  # the partial trace keeps the I (x) Q coefficients
-    relayed = _send(states[0], relay, states)
-    if visited is None:
-        _physical(np.concatenate(states))
-    else:
-        visited += states
-    return _prob_zero(relayed, m)
+    The states it passes through are appended to ``visited``, for the caller to check."""
+    merged = _cnot(control, target)[:, :4]  # the partial trace keeps the I (x) Q coefficients
+    visited.append(merged)
+    return _prob_zero(_send(merged, relay, visited), m)
 
 
 _BLOCH_SQUARES = np.array([0.0, 1.0, 1.0, 1.0])  # squared coefficients @ this = Bloch norm^2
@@ -192,8 +188,8 @@ def _pipeline(table: np.ndarray, paths: tuple, spam: SpamModel, basis: str,
     from 1.0 in path order as :func:`pauli.compose_channels` does, and the other through
     ``a2[j]``; the merged qubit crosses ``b[j]``.  Its unicast sends one qubit through
     ``a2[j]``, then ``b[j]``.  No path is empty, and a pad multiplies by 1.0, which
-    changes no bit.  A composite of two or more channels is checked as ``PauliChannel``
-    checks one.  A zero parameter in ``basis`` raises for the first such row, naming
+    changes no bit.  The composite target channel is checked as ``PauliChannel`` checks
+    one.  A zero parameter in ``basis`` raises for the first such row, naming
     ``labels[j]``; every state of the call is checked once, at its end.
     """
     dressed = table[:, _BASIS_COLUMNS[basis]]
@@ -201,17 +197,13 @@ def _pipeline(table: np.ndarray, paths: tuple, spam: SpamModel, basis: str,
     composite = target[:, 0]  # 1.0 times the first factor, exactly
     for step in range(1, target.shape[1]):
         composite = composite * target[:, step]
-    zero = (dressed[:, 3] == 0.0).any()
-    if target.shape[1] > 1:
-        if np.abs(composite).max() > _Q_MAX or (composite @ _KRAUS_SIGNS).min() < -4.0 * ATOL:
-            for row in composite:  # the constructor decides, and names what failed
-                PauliChannel(*row[1:].tolist())
-        zero = zero or (composite[:, 3] == 0.0).any()
-    if zero:
-        rows = (composite[:, 3] == 0.0) | (a2[..., 3] == 0.0).any(axis=1) | (b[..., 3] == 0.0).any(axis=1)
-        if rows.any():
-            where = f"edge {labels[rows.argmax()]!r}, basis {basis}: " if labels else ""
-            raise ProtocolError(f"{where}{context}: channel with zero {basis} parameter cannot be characterized")
+    if np.abs(composite).max() > _Q_MAX or (composite @ _KRAUS_SIGNS).min() < -4.0 * ATOL:
+        for row in composite:  # the constructor decides, and names what failed
+            PauliChannel(*row[1:].tolist())
+    rows = (composite[:, 3] == 0.0) | (a2[..., 3] == 0.0).any(axis=1) | (b[..., 3] == 0.0).any(axis=1)
+    if rows.any():
+        where = f"edge {labels[rows.argmax()]!r}, basis {basis}: " if labels else ""
+        raise ProtocolError(f"{where}{context}: channel with zero {basis} parameter cannot be characterized")
     prepared = np.array([[1.0, 0.0, 0.0, spam.s]])  # broadcast over the rows
     visited = [prepared * composite]
     merged = _send(prepared, a2, visited)
@@ -357,10 +349,11 @@ ProbabilityLike = Union[ProtocolOutcome, float, np.ndarray]
 
 
 def sample_ratio(
-    estimator: Callable, p_num: float | Sequence[float], p_uni: float | Sequence[float],
-    samples: tuple[int, int], seed: int, label: str, trials: Optional[int], numerator: str = "merge",
+    p_num: float | Sequence[float], p_uni: float | Sequence[float], samples: tuple[int, int],
+    seed: int, label: str, trials: Optional[int], numerator: str = "merge",
 ) -> Union[float, np.ndarray]:
-    """``estimator(p_num_hat, p_uni_hat)`` over ``samples = (M, N)`` runs of two protocols.
+    """The ratio (2 p_num_hat - 1)/(2 p_uni_hat - 1) over ``samples = (M, N)`` runs of two
+    protocols, NaN wherever it cannot divide (see :func:`_divide`).
 
     Each protocol is one ``binomial`` draw of shape ``(trials, *shape(p))`` from the substream
     ``{label}|{numerator}`` or ``{label}|uni`` at index 0; ``trials=None`` draws once per p.
@@ -371,7 +364,7 @@ def sample_ratio(
     size = None if trials is None else (trials, *np.shape(p_num))
     num = substream(seed, f"{label}|{numerator}", 0).binomial(m_size, p_num, size=size)
     uni = substream(seed, f"{label}|uni", 0).binomial(n_size, p_uni, size=size)
-    return estimator(num / m_size, uni / n_size)
+    return _divide(2.0 * (num / m_size) - 1.0, 2.0 * (uni / n_size) - 1.0)
 
 
 def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
@@ -484,8 +477,7 @@ def run_progressive_etching(
 
         by_basis = {}
         for basis, (p_merge, p_uni) in probs.items():
-            ratio = sample_ratio(estimate_q_mergecast, p_merge, p_uni, samples, seed,
-                                 f"etch|{round_num}|{basis}", trials)
+            ratio = sample_ratio(p_merge, p_uni, samples, seed, f"etch|{round_num}|{basis}", trials)
             estimates = _divide(ratio, ratios[basis][..., heads])
             ratios[basis][..., target_rows] = ratio
             by_basis[basis] = estimates.tolist() if trials is None else estimates.T

@@ -19,6 +19,7 @@ from qnt.experiments import (
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
     MAX_TRIALS,
+    Q_DEFAULTS,
     READS,
     SWEEP_GRID,
     ExperimentConfig,
@@ -140,6 +141,39 @@ class TestArgParsing:
         assert (configs[0]["s"], configs[0]["seed"]) == (0.9, 1)
         assert (configs[1]["s"], configs[1]["seed"]) == (1.0, 12345)
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spam-s", "--q", "0.5,0.25,7"], "spam-s needs 2 q values, got 3"),
+            (["spam-s", "--q", "0.5,0.25,0.35"], "spam-s needs 2 q values, got 3"),
+            (["spam-m", "--q", "0.5,0.25,0.35"], "spam-m needs 2 q values, got 3"),
+            (["star", "--q", "0.5,0.25,0.35,0.1"], "star needs 3 q values, got 4"),
+            # PauliChannel accepts 1 + 1e-12 as rounding slack; a protocol probability would pass 1
+            (["star", "--q", "0.5,1.0000000000001,1.0000000000001"],
+             "q2 = 1.0000000000001 is not a channel: |q| exceeds 1"),
+            (["spam-s", "--q", "1.0000000000001,1.0000000000001"],
+             "q1 = 1.0000000000001 is not a channel: |q| exceeds 1"),
+        ],
+    )
+    def test_q_values_are_exactly_those_read_and_at_most_1(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"qnt {argv[0]}: error: {message}\n")
+
+    def test_q_of_exactly_1_is_accepted(self, capsys):
+        assert ExperimentConfig("spam-s", q_params=(1.0, 1.0)).channels == (PauliChannel(1, 1, 1),) * 2
+        assert main(["star", "--q", "0.5,1,1", "--trials", "2", "--m-samples", "1000",
+                     "--n-samples", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("star,1000,1000,1,1,0.5,")
+
+    @pytest.mark.parametrize("name, q_params", [("star", [0.5, 0.25, 0.35]), ("sweep", [0.5, 0.25, 0.35]),
+                                                ("loss", [0.5, 0.25, 0.35]), ("spam-s", [0.5, 0.25]),
+                                                ("spam-m", [0.5, 0.25])])
+    def test_default_header_records_the_q_values_read(self, name, q_params):
+        header = rows_to_csv(config_from_args(build_parser().parse_args([name])), []).splitlines()[0]
+        assert json.loads(header.removeprefix("# config "))["q_params"] == q_params
 
     def test_loss_accepts_zero_q1(self):
         # the loss estimate divides by q2 q3 only, so q1 = 0 is a valid truth
@@ -333,6 +367,13 @@ class TestArgParsing:
                 "edge 'P1' has q_Z = 0, which etching cannot estimate",
             ),
             (
+                # PauliChannel accepts these as rounding slack; a protocol probability would pass 1
+                "node H internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge P1 H M1 0.5 0.5 1.0000000000001\nedge P2 H M2 0.5 0.5 1.0000000000001\n"
+                "edge P3 H M3 0.5 0.5 0.5\n",
+                "edge 'P1' has a |q| above 1",
+            ),
+            (
                 # E10 is listed before E9 and nothing contracts; problems come in natural order
                 (DATA_DIR / "self_loops.topo").read_text(),
                 "cannot be etched: [self-loop] E9: channel starts and ends at one node; "
@@ -347,7 +388,7 @@ class TestArgParsing:
                 "[self-loop] L: channel starts and ends at one node\n",
             ),
         ],
-        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "self-loops",
+        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1", "self-loops",
              "self-loop-only-node"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
@@ -403,6 +444,8 @@ class TestArgParsing:
             for action in command._actions:
                 for flag in set(action.option_strings) - {"-h", "--help", "--out"}:
                     value = OPTION_PROBE_VALUE[flag]
+                    if flag == "--q":  # as many values as the experiment reads
+                        value = ",".join(value.split(",")[:len(Q_DEFAULTS[name.replace("-", "_")])])
                     changed = rows([*base, flag] + ([] if value is None else [value]))
                     if changed == base_rows:
                         ignored.append(f"{name} {flag}")
@@ -492,7 +535,7 @@ class TestArgParsing:
             ExperimentConfig(**overrides)
 
     def test_config_accepts_an_unread_field_left_at_its_default(self):
-        assert ExperimentConfig("etch", q_params=(0.5, 0.25, 0.35)).q_params == (0.5, 0.25, 0.35)
+        assert ExperimentConfig("etch", q_params=()).q_params == ()
         assert ExperimentConfig("sweep", s=1.0, m=1.0).spam_grid == SWEEP_GRID
         loss = ExperimentConfig("loss", m_samples=(), n_samples=(), spam_grid=())
         assert (loss.m_samples, loss.n_samples) == ((), ())  # no grid is filled in for loss

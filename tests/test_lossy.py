@@ -426,9 +426,9 @@ class TestMatchesSlotReference:
         calls = []  # per merge-step call, its rows of (control, target) states
         real = lossy._merge_prob
 
-        def recording(control, target, relay, m):
+        def recording(control, target, relay, m, visited):
             calls.append([row.tobytes() for row in np.concatenate((control, target), axis=1)])
-            return real(control, target, relay, m)
+            return real(control, target, relay, m, visited)
 
         monkeypatch.setattr(lossy, "_merge_prob", recording)
         args = (STAR, REFERENCE_FIBER, memory(cutoff), Schedule(t_send, 300.0))

@@ -702,7 +702,7 @@ class TestBatchedEtchingGuards:
 
         def forced(*args, **kwargs):
             estimates = real(*args, **kwargs)
-            if args[5] == "etch|1|Z":  # the first-round edges, one column each
+            if args[4] == "etch|1|Z":  # the first-round edges, one column each
                 estimates[2:] = ((3e-10,), (0.0,))
             return estimates
 
@@ -914,7 +914,9 @@ class TestRowPipelineMatchesObjectPipeline:
             assert bits(spam_s_protocol_prob(branch_b, spam)) == bits(want)
             control, target = random_state(rng), random_state(rng)
             relay = protocols._diagonals(branch_b)[None, :-1]
-            got = protocols._merge_prob(control.coeffs[None], target.coeffs[None], relay, spam.m)
+            visited = []
+            got = protocols._merge_prob(control.coeffs[None], target.coeffs[None], relay, spam.m, visited)
+            protocols._physical(np.concatenate(visited))  # the states it passed through are physical
             assert got.shape == (1,) and bits(got[0]) == bits(reference_merge_prob(control, target, branch_b, spam.m))
         assert negative > 200  # negative q values are covered
 
@@ -1034,9 +1036,9 @@ EXACT_SPAM = SpamModel(0.91, 0.96)
 
 
 def exactly_etched(monkeypatch, topology: Topology) -> dict:
-    """The (q_X, q_Y, q_Z) estimates per edge of an etching sweep whose ratios are the
-    estimator applied to the pipeline's exact probabilities, with no sampling."""
-    monkeypatch.setattr(protocols, "sample_ratio", lambda estimator, p_num, p_uni, *args: estimator(p_num, p_uni))
+    """The (q_X, q_Y, q_Z) estimates per edge of an etching sweep whose ratios are
+    ``estimate_q_mergecast`` of the pipeline's exact probabilities, with no sampling."""
+    monkeypatch.setattr(protocols, "sample_ratio", lambda p_num, p_uni, *args: estimate_q_mergecast(p_num, p_uni))
     run = run_progressive_etching(topology, EXACT_SPAM, (1, 1), seed=0, bases=("Z", "X", "Y"))
     return {edge_id: (est.q_x, est.q_y, est.q_z) for edge_id, est in run.estimates.items()}
 
@@ -1068,10 +1070,11 @@ class TestExactIdentification:
         assert etched >= 25
 
 
-def kernel(rows, target, branch_a2, branch_b, spam=SpamModel(1.0, 1.0)):
+def kernel(rows, target, branch_a2, branch_b, spam=SpamModel(1.0, 1.0), labels=None):
     """The round kernel on the diagonal ``rows`` (padded with ones) and lists of index paths."""
     table = np.array([*rows, (1.0, 1.0, 1.0, 1.0)])
-    return protocols._pipeline(table, tuple(map(np.array, (target, branch_a2, branch_b))), spam, "Z")
+    return protocols._pipeline(table, tuple(map(np.array, (target, branch_a2, branch_b))), spam, "Z",
+                               labels=labels)
 
 
 GOOD_ROW = (1.0, 0.9, 0.8, 0.7)
@@ -1097,6 +1100,18 @@ class TestRoundKernelChecks:
             kernel([IDENTITY_ROW, bad_row], [[0]], [[0]], [[0, 1]])
         with pytest.raises(NonPhysicalStateError):
             kernel([IDENTITY_ROW, bad_row], [[0]], [[1]], [[0]])
+
+    def test_a_zero_row_that_no_path_uses_passes(self):
+        p_merge, p_uni = kernel([GOOD_ROW, (1.0, 0.5, 0.5, 0.0)], [[0]], [[0]], [[0]])
+        assert_allclose(p_merge, [(1 + 0.7**3) / 2], atol=ATOL)
+        assert_allclose(p_uni, [(1 + 0.7**2) / 2], atol=ATOL)
+
+    def test_a_target_composite_that_underflows_to_zero_names_its_edge(self):
+        # row B crosses the 1e-200 channel twice, and 1e-200 squared underflows to 0.0
+        expected = r"^edge 'B', basis Z: mergecast: channel with zero Z parameter cannot be characterized$"
+        with pytest.raises(ProtocolError, match=expected):
+            kernel([GOOD_ROW, (1.0, 0.5, 0.5, 1e-200)], [[0, 2], [1, 1]], [[0], [0]], [[0], [0]],
+                   labels=["A", "B"])
 
 
 def with_channels(topology: Topology, **channels: PauliChannel) -> Topology:
