@@ -71,7 +71,9 @@ VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.pyth
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale defaults,
     an unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to ``Q_DEFAULTS``, and
-    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``channels``, not a
+    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``s``, ``m`` and each
+    ``spam_grid`` pair are stored as floats, since stream labels and the ``# config`` line
+    spell them, so that ``s=1`` and ``s=1.0`` give one output.  ``channels``, not a
     field, holds the depolarizing channels of the q values.  An unknown experiment, a
     field outside ``READS[experiment]`` set away from its default, and out-of-range
     values, including a negative seed, more than ``MAX_TRIALS`` trials (or trials times
@@ -117,6 +119,8 @@ class ExperimentConfig:
                               ("q_params", Q_DEFAULTS.get(self.experiment))):
             if name in reads and not getattr(self, name):
                 setattr(self, name, default)
+        self.s, self.m = float(self.s), float(self.m)
+        self.spam_grid = tuple((float(s), float(m)) for s, m in self.spam_grid)
         if min(self.m_samples + self.n_samples, default=1) < 1:
             raise ValueError("sample sizes must be at least 1")
         if max(self.m_samples + self.n_samples, default=1) > 2**63 - 1:  # numpy draws int64 counts
@@ -162,8 +166,9 @@ class ExperimentConfig:
     def topology(self) -> network.Topology:
         """The simplified etch topology (the bundled ``fig1`` without a path), read once.
 
-        A file that cannot be read, parsed, simplified or etched, or whose simplified
-        edges include a zero q_Z or any |q| above 1, raises ``ValueError``.
+        A file that cannot be read, parsed, simplified or etched (a self-loop, or no
+        internal node left after simplification), or whose simplified edges include
+        a zero q_Z or any |q| above 1, raises ``ValueError``.
         """
         where = self.topology_path or "fig1"
         try:
@@ -179,6 +184,8 @@ class ExperimentConfig:
         problems = network.validate(simplified, require_simplified=True)
         if problems:
             raise ValueError(f"topology {where} cannot be etched: " + "; ".join(map(str, problems)))
+        if network.INTERNAL not in simplified.nodes.values():  # valid, so one monitor-to-monitor edge
+            raise ValueError(f"topology {where} cannot be etched: no internal node is left after simplification")
         for edge_id in simplified.sorted_edge_ids():
             if max(map(abs, simplified.edges[edge_id].channel.q)) > 1:  # as for --q values
                 raise ValueError(f"topology {where}: edge {edge_id!r} has a |q| above 1")

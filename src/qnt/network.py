@@ -1,13 +1,14 @@
 """Network graph model: monitors, Pauli-channel edges, and the etching rounds.
 
-A topology is an undirected multigraph whose nodes are either ``monitor``
-(peripheral, degree exactly 1, capable of state preparation/measurement) or
-``internal`` (gate operations only).  Tomography identifies edges from the
-periphery inward: :func:`etching_rounds` yields each round's targets with
-their Mergecast branch selections and then promotes the merge nodes to
-*effective monitors*, each with a chain of identified edges back to a real
-monitor (its entry in the ``chains`` map).  :mod:`qnt.protocols` turns the
-rounds into estimates.
+A topology is an undirected multigraph without self-loops, whose nodes are
+either ``monitor`` (peripheral, degree exactly 1, capable of state
+preparation/measurement) or ``internal`` (gate operations only); a loop
+lies on no monitor-to-monitor path, so no measurement could identify it.
+Tomography identifies edges from the periphery inward: :func:`etching_rounds`
+yields each round's targets with their Mergecast branch selections and then
+promotes the merge nodes to *effective monitors*, each with a chain of
+identified edges back to a real monitor (its entry in the ``chains`` map).
+:mod:`qnt.protocols` turns the rounds into estimates.
 
 Degree-2 internal nodes make their incident channels individually
 unidentifiable; :func:`simplify_degree2` contracts each maximal chain of
@@ -68,7 +69,7 @@ class Edge:
 
 
 class Topology:
-    """Immutable node/edge container with adjacency lookups."""
+    """Immutable node/edge container with adjacency lookups; it rejects self-loops."""
 
     def __init__(self, nodes: Mapping[str, str], edges: Iterable[Edge]):
         node_map = dict(nodes)
@@ -77,7 +78,6 @@ class Topology:
                 raise TopologyError(f"node {node!r} has unknown kind {kind!r}")
         edge_map: dict[str, Edge] = {}
         adjacency: dict[str, list[str]] = {node: [] for node in node_map}
-        self._degrees = dict.fromkeys(node_map, 0)  # a self-loop adds 2 to its node
         for edge in edges:
             if edge.edge_id in edge_map:
                 raise TopologyError(f"duplicate edge id {edge.edge_id!r}")
@@ -86,11 +86,11 @@ class Topology:
                     raise TopologyError(
                         f"edge {edge.edge_id!r} references unknown node {endpoint!r}"
                     )
-                self._degrees[endpoint] += 1
+            if edge.node_a == edge.node_b:
+                raise TopologyError(f"edge {edge.edge_id!r} starts and ends at node {edge.node_a!r}")
             edge_map[edge.edge_id] = edge
             adjacency[edge.node_a].append(edge.edge_id)
-            if edge.node_b != edge.node_a:
-                adjacency[edge.node_b].append(edge.edge_id)
+            adjacency[edge.node_b].append(edge.edge_id)
         # Natural-order keys of every node and edge name, computed once.
         self._keys = {name: natural_key(name) for name in (*node_map, *edge_map)}
         key = self._keys.__getitem__
@@ -120,7 +120,7 @@ class Topology:
         return self._adjacency[node]
 
     def degree(self, node: str) -> int:
-        return self._degrees[node]
+        return len(self._adjacency[node])
 
     def sort_key(self, name: str) -> tuple:
         """``natural_key(name)`` of a node or edge name of this topology."""
@@ -165,7 +165,7 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
     """Structural checks; an empty list means the topology is valid.
 
     ``require_simplified`` adds the post-condition of :func:`simplify_degree2`:
-    an internal node has degree >= 3, unless its only edge is a self-loop.
+    an internal node has degree >= 3.
     """
     violations = []
     if not topology.nodes:
@@ -178,12 +178,6 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
             violations.append(
                 TopologyViolation("connectivity", sample, "node is not connected to the rest")
             )
-    for edge_id in topology.sorted_edge_ids():
-        edge = topology.edges[edge_id]
-        if edge.node_a == edge.node_b:
-            violations.append(
-                TopologyViolation("self-loop", edge_id, "channel starts and ends at one node")
-            )
     for node, kind in topology.nodes.items():
         degree = topology.degree(node)
         if kind == MONITOR and degree != 1:
@@ -192,9 +186,7 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
             )
         if kind == INTERNAL and degree == 0:
             violations.append(TopologyViolation("isolated", node, "internal node has no edges"))
-        # a self-loop counts twice in degree but once in incident_edges
-        if (require_simplified and kind == INTERNAL and 0 < degree < 3
-                and len(topology.incident_edges(node)) == degree):
+        if require_simplified and kind == INTERNAL and 0 < degree < 3:
             violations.append(
                 TopologyViolation(
                     "internal-degree", node, f"internal node has degree {degree} after simplification"
@@ -220,15 +212,13 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
 
     Each contracted path becomes a single edge whose channel is the ordered
     composite of its members; edge count is conserved in the sense that
-    original edges = surviving simple edges + sum of path lengths.  A chain
-    interior is an internal node with two distinct edges, so a node whose
-    only edge is a self-loop stays for :func:`validate` to report.  A cycle
+    original edges = surviving simple edges + sum of path lengths.  A cycle
     made entirely of degree-2 nodes has no anchoring endpoint and is
     rejected.  A topology with nothing to contract comes back as it is.
     """
     interior = {
         node for node, kind in topology.nodes.items()
-        if kind == INTERNAL and topology.degree(node) == 2 and len(topology.incident_edges(node)) == 2
+        if kind == INTERNAL and topology.degree(node) == 2
     }
     if not interior:
         return topology, []

@@ -374,22 +374,23 @@ class TestArgParsing:
                 "edge 'P1' has a |q| above 1",
             ),
             (
-                # E10 is listed before E9 and nothing contracts; problems come in natural order
+                # the constructor names the first loop it meets, and the file lists E10 before E9
                 (DATA_DIR / "self_loops.topo").read_text(),
-                "cannot be etched: [self-loop] E9: channel starts and ends at one node; "
-                "[self-loop] E10: channel starts and ends at one node\n",
+                ": edge 'E10' starts and ends at node 'H'\n",
             ),
             (
-                # X's only edge is a self-loop: X is no chain interior, so it stays for validate
-                "node H internal\nnode X internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
-                "edge E1 H M1 0.8 0.8 0.8\nedge E2 H M2 0.8 0.8 0.8\nedge E3 H M3 0.8 0.8 0.8\n"
-                "edge L X X 0.8 0.8 0.8\n",
-                "cannot be etched: [connectivity] X: node is not connected to the rest; "
-                "[self-loop] L: channel starts and ends at one node\n",
+                # contracts to the one monitor-to-monitor edge E1+E2
+                "node M1 monitor\nnode A internal\nnode M2 monitor\n"
+                "edge E1 M1 A 0.8 0.8 0.8\nedge E2 A M2 0.8 0.8 0.8\n",
+                "cannot be etched: no internal node is left after simplification\n",
+            ),
+            (
+                "node M1 monitor\nnode M2 monitor\nedge E1 M1 M2 0.8 0.8 0.8\n",
+                "cannot be etched: no internal node is left after simplification\n",
             ),
         ],
         ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1", "self-loops",
-             "self-loop-only-node"],
+             "contracts-to-one-edge", "one-edge"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.topo"
@@ -665,6 +666,21 @@ class TestRunExperiment:
         # both draw from star|0.9|0.9|...: a one-pair sweep is star at that (s, m)
         assert [row._replace(experiment="star", runtime_ms=0) for row in rows] == [
             row._replace(runtime_ms=0) for row in reference]
+
+    @pytest.mark.parametrize(
+        "as_int, as_float",
+        [(dict(s=1, m=1), dict(s=1.0, m=1.0)),
+         (dict(experiment="sweep", spam_grid=((1, 1),)), dict(experiment="sweep", spam_grid=((1.0, 1.0),)))],
+        ids=["star", "sweep"],
+    )
+    def test_int_and_float_spam_give_one_output(self, as_int, as_float):
+        # the stream labels and the config line spell s and m, so equal configs must spell them alike
+        grids = dict(trials=50, m_samples=(1000,), n_samples=(1000,))
+        cfg_int, cfg_float = small_cfg(**as_int, **grids), small_cfg(**as_float, **grids)
+        assert cfg_int == cfg_float
+        csv_int, csv_float = (normalize_runtime(rows_to_csv(cfg, run_experiment(cfg)))
+                              for cfg in (cfg_int, cfg_float))
+        assert csv_int == csv_float
 
     def test_sweep_driver_varies_spam(self):
         cfg = small_cfg(

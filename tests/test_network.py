@@ -91,6 +91,14 @@ class TestTopology:
         with pytest.raises(TopologyError):
             Topology({"A": "monitor"}, [Edge("E", "A", "ZZ", UNIFORM)])
 
+    def test_self_loop_rejected_naming_edge_and_node(self):
+        with pytest.raises(TopologyError, match="^edge 'L' starts and ends at node 'X'$"):
+            Topology({"X": "internal", "M": "monitor"},
+                     [Edge("E1", "X", "M", UNIFORM), Edge("L", "X", "X", UNIFORM)])
+        # the file lists E10 before E9, so E10 is the first loop built
+        with pytest.raises(TopologyError, match="^edge 'E10' starts and ends at node 'H'$"):
+            load_topology(DATA_DIR / "self_loops.topo")
+
 
 class TestValidate:
     def test_star_is_valid(self):
@@ -118,22 +126,33 @@ class TestValidate:
         )
         assert any(v.rule == "monitor-degree" and v.subject == "A" for v in validate(topo))
 
+    @pytest.mark.parametrize(
+        "nodes, links, require_simplified, expected",
+        [
+            ({}, [], False, [("empty", "-")]),
+            ({"A": "internal", "B": "internal"}, [("A", "B")], False, [("no-monitors", "-")]),
+            ({"A": "monitor", "B": "monitor", "X": "internal"}, [("A", "B")], False,
+             [("connectivity", "X"), ("isolated", "X")]),
+            ({"A": "monitor", "B": "monitor", "C": "monitor"}, [("A", "B"), ("A", "C")], False,
+             [("monitor-degree", "A")]),
+            ({"A": "monitor", "B": "monitor", "C": "monitor", "D": "monitor"}, [("A", "B"), ("C", "D")],
+             False, [("connectivity", "C")]),
+            ({"M1": "monitor", "X": "internal", "M2": "monitor"}, [("M1", "X"), ("X", "M2")], False, []),
+            ({"M1": "monitor", "X": "internal", "M2": "monitor"}, [("M1", "X"), ("X", "M2")], True,
+             [("internal-degree", "X")]),
+        ],
+        ids=["empty", "no-monitors", "isolated", "monitor-degree", "connectivity", "internal-degree-allowed",
+             "internal-degree"],
+    )
+    def test_each_rule_names_its_subject(self, nodes, links, require_simplified, expected):
+        edges = [Edge(f"E{k}", a, b, UNIFORM) for k, (a, b) in enumerate(links, start=1)]
+        violations = validate(Topology(nodes, edges), require_simplified=require_simplified)
+        assert [(v.rule, v.subject) for v in violations] == expected
+
     def test_degree2_only_flagged_when_simplified_required(self):
         topo = chain_topology()
         assert validate(topo) == []
         assert any(v.rule == "internal-degree" for v in validate(topo, require_simplified=True))
-
-    def test_internal_degree_skips_a_node_whose_only_edge_is_a_self_loop(self):
-        # X has degree 2 (a self-loop counts twice) but one incident edge: no chain interior
-        topo = Topology(
-            {"H": "internal", "X": "internal", "Y": "internal", "M1": "monitor", "M2": "monitor"},
-            [Edge("E1", "H", "M1", UNIFORM), Edge("E2", "H", "M2", UNIFORM), Edge("E3", "H", "Y", UNIFORM),
-             Edge("L", "X", "X", UNIFORM)],
-        )
-        assert (topo.degree("X"), topo.incident_edges("X")) == (2, ("L",))
-        assert [(v.rule, v.subject) for v in validate(topo, require_simplified=True)] == [
-            ("connectivity", "X"), ("self-loop", "L"), ("internal-degree", "Y"),
-        ]
 
 
 def reference_simplify_degree2(topology: Topology):
@@ -197,10 +216,10 @@ def reference_simplify_degree2(topology: Topology):
 
 def random_multigraph(seed: int) -> Topology:
     """A small seeded multigraph of internal and monitor nodes: random edges
-    (parallel edges and self-loops among them) plus, at random, degree-2
-    chains between existing nodes, pure degree-2 cycles, lollipops (a degree-2
-    cycle off one node) and internal nodes whose only edge is a self-loop.
-    Names are shuffled so natural order differs from insertion order."""
+    (parallel edges among them; a drawn pair with equal ends is skipped) plus,
+    at random, degree-2 chains between existing nodes, pure degree-2 cycles
+    and lollipops (a degree-2 cycle off one node).  Names are shuffled so
+    natural order differs from insertion order."""
     rng = random.Random(seed)
     kinds = {}
     links = []
@@ -215,18 +234,16 @@ def random_multigraph(seed: int) -> Topology:
     for _ in range(rng.randrange(1, 8)):
         new_node(rng.choice(("internal", "internal", "monitor")))
     for _ in range(rng.randrange(0, 9)):
-        links.append((rng.choice(list(kinds)), rng.choice(list(kinds))))
+        a, b = rng.choice(list(kinds)), rng.choice(list(kinds))
+        if a != b:
+            links.append((a, b))
     for _ in range(rng.randrange(0, 3)):
         start = end = rng.choice(list(kinds))
-        motif = rng.choice(("chain", "chain", "cycle", "lollipop", "self-loop-only"))
+        motif = rng.choice(("chain", "chain", "cycle", "lollipop"))
         if motif == "chain":
             end = rng.choice(list(kinds))
         elif motif == "cycle":
             start = end = new_node()
-        elif motif == "self-loop-only":
-            node = new_node()
-            links.append((node, node))
-            continue
         previous = start
         for _ in range(rng.randrange(1, 4)):
             relay = new_node()
@@ -236,11 +253,6 @@ def random_multigraph(seed: int) -> Topology:
     numbers = rng.sample(range(10 * len(links) + 1), len(links))
     return Topology(kinds, [Edge(f"E{k}", a, b, PauliChannel(*[rng.uniform(0.1, 1.0)] * 3))
                             for k, (a, b) in zip(numbers, links)])
-
-
-def self_loop_only_nodes(topology: Topology) -> set:
-    return {node for node, kind in topology.nodes.items() if kind == "internal"
-            and [topology.edges[e].endpoints for e in topology.incident_edges(node)] == [{node}]}
 
 
 def edge_rows(topology: Topology) -> list:
@@ -255,7 +267,7 @@ class TestSimplifyDegree2:
         assert equivalents == []
         assert simplified is topo  # immutable, so a copy would be dead work
 
-    @pytest.mark.parametrize("name", ["tree60_reversed.topo", "self_loops.topo"])
+    @pytest.mark.parametrize("name", ["tree60_reversed.topo"])
     def test_parsed_file_with_nothing_to_contract_is_used_as_parsed(self, name):
         topo = load_topology(DATA_DIR / name)
         simplified, equivalents = simplify_degree2(topo)
@@ -324,60 +336,17 @@ class TestSimplifyDegree2:
         with pytest.raises(TopologyError):
             simplify_degree2(Topology(nodes, edges))
 
-    def test_self_loop_flagged_by_validate(self):
-        nodes = {"HUB": "internal", "M1": "monitor", "M2": "monitor", "M3": "monitor"}
-        edges = [
-            Edge("E1", "HUB", "M1", UNIFORM),
-            Edge("E2", "HUB", "M2", UNIFORM),
-            Edge("E3", "HUB", "M3", UNIFORM),
-            Edge("LOOP", "HUB", "HUB", UNIFORM),
-        ]
-        assert any(v.rule == "self-loop" for v in validate(Topology(nodes, edges)))
-
-    def test_self_loop_only_node_is_left_for_validate(self):
-        # X has degree 2 from its one self-loop, so it is no chain interior
-        nodes = {"HUB": "internal", "X": "internal", "M1": "monitor", "M2": "monitor",
-                 "M3": "monitor", "R": "internal"}
-        edges = [
-            Edge("E1", "HUB", "M1", UNIFORM),
-            Edge("E2", "HUB", "M2", UNIFORM),
-            Edge("E3", "HUB", "R", UNIFORM),
-            Edge("E4", "R", "M3", UNIFORM),
-            Edge("LOOP", "X", "X", UNIFORM),
-        ]
-        simplified, equivalents = simplify_degree2(Topology(nodes, edges))
-        assert [eq.edge_ids for eq in equivalents] == [("E3", "E4")]
-        assert list(simplified.nodes) == ["HUB", "X", "M1", "M2", "M3"]
-        assert list(simplified.edges) == ["E1", "E2", "LOOP", "E3+E4"]
-        assert [(v.rule, v.subject) for v in validate(simplified)] == [
-            ("connectivity", "X"), ("self-loop", "LOOP")]
-
     def test_matches_reference_on_random_multigraphs(self):
-        seen = {"contracted": 0, "raised": 0, "self-loop-only": 0}
+        seen = {"contracted": 0, "raised": 0}
         for seed in range(3000):
             topology = random_multigraph(seed)
             try:
                 expected = reference_simplify_degree2(topology)
             except TopologyError as err:
-                if "inconsistent degree bookkeeping" not in str(err):
-                    with pytest.raises(TopologyError) as raised:
-                        simplify_degree2(topology)
-                    assert type(raised.value) is TopologyError and str(raised.value) == str(err)
-                    seen["raised"] += 1
-                    continue
-                # the reference walked into a self-loop-only node; now such a node stays
-                loners = self_loop_only_nodes(topology)
-                assert loners and str(err).endswith(tuple(f"node {n!r}" for n in loners))
-                seen["self-loop-only"] += 1
-                try:
-                    simplified, _ = simplify_degree2(topology)
-                except TopologyError as cycle:
-                    assert "cycle" in str(cycle)
-                    continue
-                for node in loners:
-                    assert node in simplified.nodes
-                    [loop] = topology.incident_edges(node)
-                    assert simplified.edges[loop] == topology.edges[loop]
+                with pytest.raises(TopologyError) as raised:
+                    simplify_degree2(topology)
+                assert type(raised.value) is TopologyError and str(raised.value) == str(err)
+                seen["raised"] += 1
                 continue
             simplified, equivalents = simplify_degree2(topology)
             assert (simplified is topology) == (expected[0] is topology)
@@ -682,22 +651,14 @@ class TestStoredKeys:
 
 
 class TestStoredDegree:
-    """Degrees counted once per topology equal the count of edge ends."""
+    """A node's degree is its count of edge ends and of incident edges."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [*KEYED_TOPOLOGIES.values(), lambda: load_topology(DATA_DIR / "self_loops.topo")],
-        ids=[*KEYED_TOPOLOGIES, "self-loops"],
-    )
+    @pytest.mark.parametrize("build", KEYED_TOPOLOGIES.values(), ids=list(KEYED_TOPOLOGIES))
     def test_stored_degree_counts_edge_ends(self, build):
-        # a self-loop has both ends at its node, so it counts 2
         topology = build()
         for node in topology.nodes:
             ends = sum((edge.node_a == node) + (edge.node_b == node) for edge in topology.edges.values())
-            assert topology.degree(node) == ends
-
-    def test_two_self_loops_add_four(self):
-        assert load_topology(DATA_DIR / "self_loops.topo").degree("H") == 3 + 2 * 2
+            assert topology.degree(node) == ends == len(topology.incident_edges(node))
 
 
 class TestDataFiles:
