@@ -72,14 +72,14 @@ class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale defaults,
     an unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to ``Q_DEFAULTS``, and
     ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``s``, ``m`` and each
-    ``spam_grid`` pair are stored as floats, since stream labels and the ``# config`` line
-    spell them, so that ``s=1`` and ``s=1.0`` give one output.  ``channels``, not a
-    field, holds the depolarizing channels of the q values.  An unknown experiment, a
-    field outside ``READS[experiment]`` set away from its default, and out-of-range
-    values, including a negative seed, more than ``MAX_TRIALS`` trials (or trials times
-    etch edges), a q count other than its ``Q_DEFAULTS`` entry's, a q with |q| above 1
-    (``PauliChannel`` allows rounding slack past it), a zero SPAM parameter or q
-    divisor, loss timings that :mod:`qnt.lossy`
+    ``spam_grid`` pair are stored as floats and the sample sizes as ints, since stream
+    labels and the ``# config`` line spell them, so that ``s=1`` and ``s=1.0`` give one
+    output.  ``channels``, not a field, holds the depolarizing channels of the q values.
+    An unknown experiment, a field outside ``READS[experiment]`` set away from its default,
+    and out-of-range values, including a negative seed, a sample size that is not whole,
+    more than ``MAX_TRIALS`` trials (or trials times etch edges), a q count other than its
+    ``Q_DEFAULTS`` entry's, a q with |q| above 1 (``PauliChannel`` allows rounding slack
+    past it), a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
     rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be
     read or etched, an etch ``s`` too small to divide by, and an output path that is a
     directory or in no existing directory raise ``ValueError``."""
@@ -121,6 +121,10 @@ class ExperimentConfig:
                 setattr(self, name, default)
         self.s, self.m = float(self.s), float(self.m)
         self.spam_grid = tuple((float(s), float(m)) for s, m in self.spam_grid)
+        for size in self.m_samples + self.n_samples:
+            if size % 1:  # NaN for a NaN or an infinity
+                raise ValueError(f"sample sizes must be whole numbers, got {size!r}")
+        self.m_samples, self.n_samples = tuple(map(int, self.m_samples)), tuple(map(int, self.n_samples))
         if min(self.m_samples + self.n_samples, default=1) < 1:
             raise ValueError("sample sizes must be at least 1")
         if max(self.m_samples + self.n_samples, default=1) > 2**63 - 1:  # numpy draws int64 counts
@@ -157,19 +161,16 @@ class ExperimentConfig:
             if self.s < protocols.DEGENERATE_DENOMINATOR_TOL:  # first-round edges divide by s alone
                 raise ValueError(f"etch divides by s, so s must be at least "
                                  f"{protocols.DEGENERATE_DENOMINATOR_TOL:g}, got s={self.s!r}")
-            edges = len(self.topology.edges)  # read and checked here, so a bad file is a usage error
+            edges = len(self.plan.topology.edges)  # planned here, so what cannot be etched is a usage error
             if self.trials * edges > MAX_TRIALS:  # an etch run holds every edge's trials at once
                 raise ValueError(f"etch holds trials x edges = {self.trials} x {edges} estimates "
                                  f"at once, at most {MAX_TRIALS:.0e}")
 
     @functools.cached_property
-    def topology(self) -> network.Topology:
-        """The simplified etch topology (the bundled ``fig1`` without a path), read once.
-
-        A file that cannot be read, parsed, simplified or etched (a self-loop, or no
-        internal node left after simplification), or whose simplified edges include
-        a zero q_Z or any |q| above 1, raises ``ValueError``.
-        """
+    def plan(self) -> protocols.EtchingPlan:
+        """The Z-basis etching plan of the simplified etch topology (the bundled ``fig1``
+        without a path), built once.  A file that cannot be read, parsed, simplified or
+        planned, or whose simplified edges include a zero q_Z or any |q| above 1, raises ``ValueError``."""
         where = self.topology_path or "fig1"
         try:
             if self.topology_path:
@@ -177,21 +178,17 @@ class ExperimentConfig:
             else:
                 raw = topo_io.bundled_topology("fig1")
             simplified, _ = network.simplify_degree2(raw)
+            for edge_id in simplified.sorted_edge_ids():
+                if max(map(abs, simplified.edges[edge_id].channel.q)) > 1:  # as for --q values
+                    raise protocols.ProtocolError(f"edge {edge_id!r} has a |q| above 1")
+                if simplified.edges[edge_id].channel.q_z == 0:  # run_etch estimates q_Z by dividing by it
+                    raise protocols.ProtocolError(f"edge {edge_id!r} has q_Z = 0, which etching cannot estimate")
+            return protocols.plan_etching(simplified, self.spam, ("Z",))
         except OSError as err:  # its str() names the path a second time
             raise ValueError(f"topology {where}: {err.strerror}") from None
-        except (topo_io.TopologyParseError, network.TopologyError) as err:
+        except (topo_io.TopologyParseError, network.TopologyError, protocols.ProtocolError,
+                network.BranchSelectionError) as err:
             raise ValueError(f"topology {where}: {err}") from None
-        problems = network.validate(simplified, require_simplified=True)
-        if problems:
-            raise ValueError(f"topology {where} cannot be etched: " + "; ".join(map(str, problems)))
-        if network.INTERNAL not in simplified.nodes.values():  # valid, so one monitor-to-monitor edge
-            raise ValueError(f"topology {where} cannot be etched: no internal node is left after simplification")
-        for edge_id in simplified.sorted_edge_ids():
-            if max(map(abs, simplified.edges[edge_id].channel.q)) > 1:  # as for --q values
-                raise ValueError(f"topology {where}: edge {edge_id!r} has a |q| above 1")
-            if simplified.edges[edge_id].channel.q_z == 0:  # run_etch estimates q_Z by dividing by it
-                raise ValueError(f"topology {where}: edge {edge_id!r} has q_Z = 0, which etching cannot estimate")
-        return simplified
 
     @property
     def spam(self) -> SpamModel:
@@ -270,7 +267,7 @@ def _ratio_rows(
 
     Each cell draws all its trials with :func:`protocols.sample_ratio` under
     the label ``{stream}|{M}|{N}``, and each trial estimates
-    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.
+    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.  A ``crb`` that cannot divide is blank.
     """
     rows = []
     for samples in itertools.product(cfg.m_samples, cfg.n_samples):
@@ -278,8 +275,12 @@ def _ratio_rows(
         estimates = protocols.sample_ratio(p_num, p_uni, samples, cfg.seed,
                                            f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator)
         runtime = (time.perf_counter() - start) * 1e3
+        try:
+            bound = crb(*samples)
+        except ZeroDivisionError:  # spam-s and spam-m at m s q1 q2 = 1: every estimate is exact, the bound 0/0
+            bound = None
         rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
-                         runtime, crb=crb(*samples), target=target))
+                         runtime, crb=bound, target=target))
     return rows
 
 
@@ -346,18 +347,16 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
 
     N is tied to M: the near-diagonal is where the ratio estimator works
     best, so sweeping one size covers the interesting regime.  The edges of an
-    M share that sweep's runtime."""
-    topology = cfg.topology
+    M share that sweep's runtime, which leaves out the plan: the config builds it once."""
+    topology = cfg.plan.topology
     spam = cfg.spam
     edge_ids = topology.sorted_edge_ids()
     truths = [topology.edges[edge_id].channel.q_z for edge_id in edge_ids]
     rows = []
     for m_size in cfg.m_samples:
         start = time.perf_counter()
-        run = protocols.run_progressive_etching(
-            topology, spam, samples=(m_size, m_size), seed=_trial_seed(cfg, f"etch|{m_size}", 0),
-            bases=("Z",), trials=cfg.trials,
-        )
+        run = protocols.sample_etching(cfg.plan, (m_size, m_size), _trial_seed(cfg, f"etch|{m_size}", 0),
+                                       cfg.trials)
         runtime = (time.perf_counter() - start) * 1e3
         aggs = stats.aggregate_mse_rows([run.estimates[edge_id].q_z for edge_id in edge_ids], truths)
         rows += [

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class ProtocolOutcome:
         return self.n0 / self.n_total
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
+class ChannelEstimate(NamedTuple):
     """Raw per-basis estimates of a channel's (q_X, q_Y, q_Z).
 
     Estimates (floats, NaN for a basis not run, or arrays of one per trial) are
@@ -415,8 +414,7 @@ def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndar
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EtchingRun:
+class EtchingRun(NamedTuple):
     """Output of one etching sweep over a topology.
 
     ``estimates`` holds the raw per-basis estimate triple for each edge
@@ -424,8 +422,75 @@ class EtchingRun:
     which the edge was identified.
     """
 
-    estimates: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
+    estimates: dict
+    steps: dict
+
+
+class EtchingPlan(NamedTuple):
+    """Etching ``topology`` at any sample size and seed: per round, ``(targets, rows, heads,
+    probs)``, its frontier, their table rows, each one's chain-head row (the pad row for an
+    empty chain) and ``(p_merge, p_uni)`` by basis.  ``pad``, an empty chain's ratio, is s."""
+
+    topology: Topology
+    pad: float
+    bases: tuple[str, ...]
+    rounds: tuple[tuple[list, list, list, dict], ...]
+
+
+def plan_etching(topology: Topology, spam: SpamModel, bases: Sequence[str] = ("Z", "X", "Y")) -> EtchingPlan:
+    """The plan of etching a simplified topology periphery inward, one state-pipeline call
+    per round of :func:`network.etching_rounds` and basis.  A topology that ``validate``
+    rejects raises ``ProtocolError``, a target with no two branches ``BranchSelectionError``,
+    and a zero parameter ``ProtocolError`` naming its first edge in frontier order, within
+    the first such basis of ``bases``."""
+    problems = network.validate(topology, require_simplified=True)
+    if problems:
+        raise ProtocolError("cannot be etched: " + "; ".join(map(str, problems)))
+    index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
+    table = _diagonals(edge.channel for edge in topology.edges.values())
+    rounds = []
+    for selections in network.etching_rounds(topology):
+        targets = [target for target, _ in selections]
+        routes = [((*selection.target_chain, target), selection.full_a2, selection.full_b)
+                  for target, selection in selections]
+        paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
+        probs = {basis: _pipeline(table, paths, spam, basis, labels=targets) for basis in bases}
+        heads = [index[sel.target_chain[0]] if sel.target_chain else len(index) for _, sel in selections]
+        rows = [index[target] for target in targets]
+        rounds.append((targets, rows, heads, probs))
+    return EtchingPlan(topology, spam.s, tuple(bases), tuple(rounds))
+
+
+def sample_etching(plan: EtchingPlan, samples: tuple[int, int], seed: int,
+                   trials: Optional[int] = None) -> EtchingRun:
+    """Estimate every channel of ``plan`` from ``samples = (M, N)`` runs per protocol: per
+    round and basis, one :func:`sample_ratio` call draws every target (column j is target j)
+    from ``etch|{round}|{basis}|merge``/``|uni``.  A chain's head was reached through the rest
+    of the chain, so its raw ratio estimates s times the chain's product: dividing by it (by s
+    for an empty chain) leaves the target's q, and propagates earlier errors as a real
+    deployment would.  A trial whose unicast denominator or chain correction is degenerate
+    (see :func:`_divide`) is NaN for that edge, and for every edge divided by its ratio.
+    ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k is
+    the k-th of successive scalar sweeps on the same streams."""
+    unmeasured = math.nan if trials is None else np.full(trials, math.nan)
+    estimates, steps = {}, {}
+    # Per basis, the raw ratios so far by table row; the pad, an empty chain's, is s.
+    ratios = {basis: np.full((*np.shape(unmeasured), len(plan.topology.edges) + 1), plan.pad, dtype=float)
+              for basis in plan.bases}
+
+    for round_num, (targets, rows, heads, probs) in enumerate(plan.rounds, start=1):
+        by_basis = {}
+        for basis, (p_merge, p_uni) in probs.items():
+            ratio = sample_ratio(p_merge, p_uni, samples, seed, f"etch|{round_num}|{basis}", trials)
+            estimate = _divide(ratio, ratios[basis][..., heads])
+            ratios[basis][..., rows] = ratio
+            by_basis[basis] = estimate.tolist() if trials is None else estimate.T
+
+        steps.update(dict.fromkeys(targets, round_num))
+        columns = (by_basis.get(b, itertools.repeat(unmeasured)) for b in "XYZ")
+        estimates.update(zip(targets, map(ChannelEstimate, *columns)))
+
+    return EtchingRun(estimates, steps)
 
 
 def run_progressive_etching(
@@ -436,57 +501,8 @@ def run_progressive_etching(
     bases: Sequence[str] = ("Z", "X", "Y"),
     trials: Optional[int] = None,
 ) -> EtchingRun:
-    """Identify every channel of a simplified topology, periphery inward.
-
-    Each round of :func:`network.etching_rounds` (a frozen frontier in
-    ascending natural edge-id order, with its branch selections) is estimated
-    here.  A target whose effective-monitor endpoint is internal is reached
-    through the chain of already-identified edges backing that monitor.  The chain's
-    head was reached through the rest of the chain, so its raw ratio estimates s times
-    the chain's product: dividing by it (by s for an empty chain) leaves the target's q,
-    and propagates earlier errors exactly as a real deployment would.
-
-    Per round and basis, one state-pipeline call computes the probabilities of every
-    frontier target, and one :func:`sample_ratio` call draws them (column j is target j)
-    from ``etch|{round}|{basis}|merge``/``|uni``.  A zero parameter raises
-    ``ProtocolError`` naming its first edge in frontier order, within the first such basis
-    of ``bases``.  A trial whose unicast denominator or chain correction is degenerate
-    (see :func:`_divide`) is NaN for that edge, and so for every edge divided by its ratio.
-    ``trials`` follows numpy's ``size``: ``None`` gives floats, an int arrays whose row k
-    is the k-th of successive scalar sweeps on the same streams, each divided by its own
-    head's ratio.
-    """
-    problems = network.validate(topology, require_simplified=True)
-    if problems:
-        raise ProtocolError("topology not ready for etching: " + "; ".join(map(str, problems)))
-    unmeasured = math.nan if trials is None else np.full(trials, math.nan)
-    run = EtchingRun()
-    index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
-    table = _diagonals(edge.channel for edge in topology.edges.values())
-    # Per basis, the raw ratios so far by table row; the pad, an empty chain's, is s.
-    ratios = {basis: np.full((*np.shape(unmeasured), len(index) + 1), spam.s, dtype=float) for basis in bases}
-
-    for round_num, selections in enumerate(network.etching_rounds(topology), start=1):
-        frontier = [target for target, _ in selections]
-        routes = [((*selection.target_chain, target), selection.full_a2, selection.full_b)
-                  for target, selection in selections]
-        paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
-        probs = {basis: _pipeline(table, paths, spam, basis, labels=frontier) for basis in bases}
-        heads = [index[sel.target_chain[0]] if sel.target_chain else len(index) for _, sel in selections]
-        target_rows = [index[target] for target in frontier]
-
-        by_basis = {}
-        for basis, (p_merge, p_uni) in probs.items():
-            ratio = sample_ratio(p_merge, p_uni, samples, seed, f"etch|{round_num}|{basis}", trials)
-            estimates = _divide(ratio, ratios[basis][..., heads])
-            ratios[basis][..., target_rows] = ratio
-            by_basis[basis] = estimates.tolist() if trials is None else estimates.T
-
-        run.steps.update(dict.fromkeys(frontier, round_num))
-        columns = (by_basis.get(b, itertools.repeat(unmeasured)) for b in "XYZ")
-        run.estimates.update(zip(frontier, map(ChannelEstimate, *columns)))
-
-    return run
+    """Identify every channel of a simplified topology: :func:`sample_etching` of :func:`plan_etching`."""
+    return sample_etching(plan_etching(topology, spam, bases), samples, seed, trials)
 
 
 # ---------------------------------------------------------------------------

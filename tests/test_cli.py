@@ -45,6 +45,9 @@ def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+RATIO_GRID = dict(m_samples=(1000,), n_samples=(1000,))
+
+
 def normalize_runtime(text: str) -> str:
     """Blank the wall-clock column and the header's versions, the only fields
     that differ between runs and between hosts."""
@@ -382,15 +385,25 @@ class TestArgParsing:
                 # contracts to the one monitor-to-monitor edge E1+E2
                 "node M1 monitor\nnode A internal\nnode M2 monitor\n"
                 "edge E1 M1 A 0.8 0.8 0.8\nedge E2 A M2 0.8 0.8 0.8\n",
-                "cannot be etched: no internal node is left after simplification\n",
+                ": merge node 'M1' cannot reach two distinct effective monitors on edge-disjoint paths "
+                "avoiding target 'E1+E2'\n",
             ),
             (
                 "node M1 monitor\nnode M2 monitor\nedge E1 M1 M2 0.8 0.8 0.8\n",
-                "cannot be etched: no internal node is left after simplification\n",
+                ": merge node 'M1' cannot reach two distinct effective monitors on edge-disjoint paths "
+                "avoiding target 'E1'\n",
+            ),
+            (
+                # past target E1, merge node H1 reaches one monitor only, M2, through A or B
+                "node H1 internal\nnode H2 internal\nnode M1 monitor\nnode M2 monitor\n"
+                "edge E1 M1 H1 0.8 0.8 0.8\nedge E2 M2 H2 0.8 0.8 0.8\n"
+                "edge A H1 H2 0.8 0.8 0.8\nedge B H1 H2 0.8 0.8 0.8\n",
+                ": merge node 'H1' cannot reach two distinct effective monitors on edge-disjoint paths "
+                "avoiding target 'E1'\n",
             ),
         ],
         ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1", "self-loops",
-             "contracts-to-one-edge", "one-edge"],
+             "contracts-to-one-edge", "one-edge", "two-edge-cut"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.topo"
@@ -499,7 +512,7 @@ class TestArgParsing:
     def test_config_header_is_the_json_of_the_config_fields(self, overrides):
         cfg = ExperimentConfig(**overrides)
         if cfg.experiment == "etch":
-            assert "topology" in vars(cfg)  # read and cached by the config check
+            assert "plan" in vars(cfg)  # built and cached by the config check
         header = json.loads(rows_to_csv(cfg, []).splitlines()[0].removeprefix("# config "))
         versions = {"qnt": qnt.__version__, "numpy": np.__version__, "python": platform.python_version()}
         assert header.pop("versions") == versions
@@ -669,18 +682,27 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "as_int, as_float",
-        [(dict(s=1, m=1), dict(s=1.0, m=1.0)),
-         (dict(experiment="sweep", spam_grid=((1, 1),)), dict(experiment="sweep", spam_grid=((1.0, 1.0),)))],
-        ids=["star", "sweep"],
+        [(dict(s=1, m=1, **RATIO_GRID), dict(s=1.0, m=1.0, **RATIO_GRID)),
+         (dict(experiment="sweep", spam_grid=((1, 1),), **RATIO_GRID),
+          dict(experiment="sweep", spam_grid=((1.0, 1.0),), **RATIO_GRID)),
+         (RATIO_GRID, dict(m_samples=(1000.0,), n_samples=(1000,))),
+         (dict(experiment="etch", m_samples=(1000,)), dict(experiment="etch", m_samples=(1000.0,)))],
+        ids=["star", "sweep", "star-samples", "etch-samples"],
     )
     def test_int_and_float_spam_give_one_output(self, as_int, as_float):
-        # the stream labels and the config line spell s and m, so equal configs must spell them alike
-        grids = dict(trials=50, m_samples=(1000,), n_samples=(1000,))
-        cfg_int, cfg_float = small_cfg(**as_int, **grids), small_cfg(**as_float, **grids)
+        # the stream labels and the config line spell s, m and the sample sizes, so equal
+        # configs must spell them alike
+        cfg_int, cfg_float = small_cfg(trials=50, **as_int), small_cfg(trials=50, **as_float)
         assert cfg_int == cfg_float
         csv_int, csv_float = (normalize_runtime(rows_to_csv(cfg, run_experiment(cfg)))
                               for cfg in (cfg_int, cfg_float))
         assert csv_int == csv_float
+
+    @pytest.mark.parametrize("sizes", [dict(m_samples=(1000.5,)), dict(n_samples=(1000, math.nan)),
+                                       dict(m_samples=(math.inf,))], ids=["fraction", "nan", "inf"])
+    def test_config_rejects_a_sample_size_that_is_not_whole(self, sizes):
+        with pytest.raises(ValueError, match="sample sizes must be whole numbers"):
+            small_cfg(**sizes)
 
     def test_sweep_driver_varies_spam(self):
         cfg = small_cfg(
@@ -755,6 +777,18 @@ class TestMain:
                 "--out", str(out)]
         assert main(argv) == 0
         assert len(out.read_text().splitlines()) == 2 + 3
+
+    @pytest.mark.parametrize("command", ["spam-s", "spam-m"])
+    def test_deterministic_unicast_runs_with_a_blank_crb(self, command, tmp_path):
+        # at q = (1, 1) and s = m = 1 every estimate is exact and the bound is 0/0
+        out = tmp_path / "rows.csv"
+        argv = [command, "--q", "1,1", "--trials", "3", "--m-samples", "1000", "--n-samples", "1000,2000",
+                "--out", str(out)]
+        assert main(argv) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines()[1:])
+        cells = [dict(zip(header, row)) for row in rows]
+        assert len(cells) == 2
+        assert all(cell["crb"] == "" and float(cell["mse"]) == 0.0 for cell in cells)
 
     def test_config_error_names_the_experiment_as_typed(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

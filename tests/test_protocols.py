@@ -43,7 +43,9 @@ from qnt.protocols import (
     merge_and_unicast_probs,
     mergecast_prob,
     phase_cycling_compile,
+    plan_etching,
     run_progressive_etching,
+    sample_etching,
     sample_protocol,
     spam_m_protocol_probs,
     spam_ms_bypass_prob,
@@ -51,7 +53,7 @@ from qnt.protocols import (
     unicast_prob,
 )
 from qnt.stats import aggregate_mse, substream
-from qnt.topo_io import bundled_topology
+from qnt.topo_io import bundled_topology, format_topology
 
 from conftest import random_channel, random_state
 from test_network import random_mesh, random_tree
@@ -642,7 +644,7 @@ class TestEtchingMatchesReference:
     def test_run_etch_rows_are_the_mse_of_successive_scalar_sweeps(self):
         cfg = ExperimentConfig("etch", seed=8, trials=7, s=0.9, m=0.95, m_samples=(3000, 9000))
         rows = run_experiment(cfg)
-        topology = cfg.topology
+        topology = cfg.plan.topology
         assert len(rows) == 2 * len(topology.edges)
         for m_size in cfg.m_samples:
             seed = int(substream(cfg.seed, f"etch|{m_size}", 0).integers(0, 2**63))
@@ -684,6 +686,68 @@ class TestEtchingMatchesReference:
                     assert got[basis] == pytest.approx(value, rel=1e-14, abs=0)
             longest = max(longest, *lengths.values())
         assert longest >= 3
+
+
+def estimate_bits(run) -> dict:
+    """Each edge's (q_X, q_Y, q_Z) estimates as bytes, so that NaN equals NaN."""
+    return {edge_id: [np.asarray(value).tobytes() for value in estimate] for edge_id, estimate in run.estimates.items()}
+
+
+def etchable(topology: Topology) -> bool:
+    try:
+        list(network.etching_rounds(topology))
+    except BranchSelectionError:
+        return False
+    return True
+
+
+class TestPlanReuse:
+    def test_one_plan_sampled_at_two_sizes_equals_fresh_runs(self):
+        # sampling must leave the plan as it found it, so that every M cell of a run can share it
+        meshes = [random_channel_mesh(seed) for seed in range(50)]
+        topologies = [flip_tree(seed, 20 + 15 * seed) for seed in range(4)] + list(filter(etchable, meshes))
+        assert len(topologies) >= 4 + 30
+        for topology in topologies:
+            plan = plan_etching(topology, ETCH_SPAM)
+            for trials in (None, 5):
+                for samples in ((2000, 2000), (30_000, 30_000)):
+                    got = sample_etching(plan, samples, 21, trials)
+                    want = run_progressive_etching(topology, ETCH_SPAM, samples, seed=21, trials=trials)
+                    assert got.steps == want.steps
+                    assert estimate_bits(got) == estimate_bits(want)
+
+    def test_run_etch_plans_once_for_every_m(self, monkeypatch):
+        calls = {"rounds": 0, "pipeline": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(network, "etching_rounds", counted("rounds", network.etching_rounds))
+        monkeypatch.setattr(protocols, "_pipeline", counted("pipeline", protocols._pipeline))
+        cfg = ExperimentConfig("etch", trials=3, m_samples=(1000, 2000, 3000))
+        assert len(run_experiment(cfg)) == 3 * 19
+        assert len(cfg.plan.rounds) == 3  # fig1 etches in three rounds, one Z-basis call each
+        assert calls == {"rounds": 1, "pipeline": 3}
+
+    def test_config_rejects_exactly_the_meshes_whose_branches_cannot_be_chosen(self, tmp_path):
+        rejected = 0
+        for seed in range(50):
+            mesh = random_mesh(seed, 6 + seed % 15, 1 + seed % 5)
+            path = tmp_path / f"mesh{seed}.topo"
+            path.write_text(format_topology(mesh))
+            try:
+                list(network.etching_rounds(mesh))
+            except BranchSelectionError as err:
+                with pytest.raises(ValueError) as raised:
+                    ExperimentConfig("etch", topology_path=str(path))
+                assert str(raised.value) == f"topology {path}: {err}"  # the same merge node and target
+                rejected += 1
+            else:
+                ExperimentConfig("etch", topology_path=str(path))
+        assert 0 < rejected < 50
 
 
 def two_hub_topology() -> Topology:
