@@ -67,22 +67,30 @@ SWEEP_GRID = ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
 VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
+def _whole(field: str, value) -> int:
+    """``value`` as an int; a fraction, NaN or infinity raises ``ValueError`` naming ``field``."""
+    if value % 1:  # NaN for a NaN or an infinity
+        raise ValueError(f"{field} must be whole, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a driver needs; unset grids and trials fall back to scale defaults,
     an unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to ``Q_DEFAULTS``, and
-    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``s``, ``m`` and each
-    ``spam_grid`` pair are stored as floats and the sample sizes as ints, since stream
-    labels and the ``# config`` line spell them, so that ``s=1`` and ``s=1.0`` give one
-    output.  ``channels``, not a field, holds the depolarizing channels of the q values.
-    An unknown experiment, a field outside ``READS[experiment]`` set away from its default,
-    and out-of-range values, including a negative seed, a sample size that is not whole,
-    more than ``MAX_TRIALS`` trials (or trials times etch edges), a q count other than its
-    ``Q_DEFAULTS`` entry's, a q with |q| above 1 (``PauliChannel`` allows rounding slack
-    past it), a zero SPAM parameter or q divisor, loss timings that :mod:`qnt.lossy`
-    rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology that cannot be
-    read or etched, an etch ``s`` too small to divide by, and an output path that is a
-    directory or in no existing directory raise ``ValueError``."""
+    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``s``, ``m``, each
+    ``spam_grid`` pair, the q values and the loss timings are stored as floats and
+    ``seed``, ``trials`` and the sample sizes as ints, since stream labels and the
+    ``# config`` line spell them, so that ``s=1`` and ``s=1.0`` give one output.
+    ``channels``, not a field, holds the depolarizing channels of the q values.  An
+    unknown experiment, a field outside ``READS[experiment]`` set away from its default,
+    and out-of-range values, including a negative seed, a seed, trials or sample size
+    that is not whole, more than ``MAX_TRIALS`` trials (or trials times etch edges), a q
+    count other than its ``Q_DEFAULTS`` entry's, a q with |q| above 1 (``PauliChannel``
+    allows rounding slack past it), a zero SPAM parameter or q divisor, loss timings that
+    :mod:`qnt.lossy` rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology
+    that cannot be read or etched, an etch ``s`` too small to divide by, and an output
+    path that is a directory or in no existing directory raise ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -108,10 +116,11 @@ class ExperimentConfig:
         for field in dataclasses.fields(self)[1:]:  # the fields after experiment
             if field.name not in reads and getattr(self, field.name) != field.default:
                 raise ValueError(f"{typed} does not read {field.name}; leave it at {field.default!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is None:
             self.trials = 1000 if self.full_scale else 100
+        self.seed, self.trials = _whole("seed", self.seed), _whole("trials", self.trials)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must be in [1, {MAX_TRIALS:.0e}], got {self.trials}")
         grid = FULL_GRID if self.full_scale else DESK_GRID
@@ -119,12 +128,12 @@ class ExperimentConfig:
                               ("q_params", Q_DEFAULTS.get(self.experiment))):
             if name in reads and not getattr(self, name):
                 setattr(self, name, default)
-        self.s, self.m = float(self.s), float(self.m)
+        self.s, self.m, self.horizon_s = float(self.s), float(self.m), float(self.horizon_s)
+        self.q_params, self.t_send_s, self.t_cutoff_s = (
+            tuple(map(float, values)) for values in (self.q_params, self.t_send_s, self.t_cutoff_s))
         self.spam_grid = tuple((float(s), float(m)) for s, m in self.spam_grid)
-        for size in self.m_samples + self.n_samples:
-            if size % 1:  # NaN for a NaN or an infinity
-                raise ValueError(f"sample sizes must be whole numbers, got {size!r}")
-        self.m_samples, self.n_samples = tuple(map(int, self.m_samples)), tuple(map(int, self.n_samples))
+        self.m_samples = tuple(_whole("m_samples", size) for size in self.m_samples)
+        self.n_samples = tuple(_whole("n_samples", size) for size in self.n_samples)
         if min(self.m_samples + self.n_samples, default=1) < 1:
             raise ValueError("sample sizes must be at least 1")
         if max(self.m_samples + self.n_samples, default=1) > 2**63 - 1:  # numpy draws int64 counts
@@ -186,8 +195,8 @@ class ExperimentConfig:
             return protocols.plan_etching(simplified, self.spam, ("Z",))
         except OSError as err:  # its str() names the path a second time
             raise ValueError(f"topology {where}: {err.strerror}") from None
-        except (topo_io.TopologyParseError, network.TopologyError, protocols.ProtocolError,
-                network.BranchSelectionError) as err:
+        except (UnicodeDecodeError, topo_io.TopologyParseError, network.TopologyError,
+                protocols.ProtocolError, network.BranchSelectionError) as err:
             raise ValueError(f"topology {where}: {err}") from None
 
     @property

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .pauli import PauliChannel, compose_channels
 
@@ -49,8 +48,7 @@ def natural_key(identifier: str) -> tuple:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     edge_id: str
     node_a: str
     node_b: str
@@ -77,7 +75,7 @@ class Topology:
             if kind not in (MONITOR, INTERNAL):
                 raise TopologyError(f"node {node!r} has unknown kind {kind!r}")
         edge_map: dict[str, Edge] = {}
-        adjacency: dict[str, list[str]] = {node: [] for node in node_map}
+        adjacency: dict[str, list[tuple[str, str]]] = {node: [] for node in node_map}
         for edge in edges:
             if edge.edge_id in edge_map:
                 raise TopologyError(f"duplicate edge id {edge.edge_id!r}")
@@ -89,16 +87,17 @@ class Topology:
             if edge.node_a == edge.node_b:
                 raise TopologyError(f"edge {edge.edge_id!r} starts and ends at node {edge.node_a!r}")
             edge_map[edge.edge_id] = edge
-            adjacency[edge.node_a].append(edge.edge_id)
-            adjacency[edge.node_b].append(edge.edge_id)
+            adjacency[edge.node_a].append((edge.edge_id, edge.node_b))
+            adjacency[edge.node_b].append((edge.edge_id, edge.node_a))
         # Natural-order keys of every node and edge name, computed once.
         self._keys = {name: natural_key(name) for name in (*node_map, *edge_map)}
         key = self._keys.__getitem__
         for incident in adjacency.values():
-            incident.sort(key=key)
+            incident.sort(key=lambda pair: key(pair[0]))
         self._nodes = MappingProxyType(node_map)
         self._edges = MappingProxyType(edge_map)
-        self._adjacency = MappingProxyType({n: tuple(e) for n, e in adjacency.items()})
+        # Each node's (edge id, neighbour) pairs in natural edge order.
+        self._adjacency = MappingProxyType({n: tuple(pairs) for n, pairs in adjacency.items()})
         self._sorted_edges = tuple(sorted(edge_map, key=key))
 
     @property
@@ -117,7 +116,7 @@ class Topology:
         return frozenset(n for n, kind in self._nodes.items() if kind == MONITOR)
 
     def incident_edges(self, node: str) -> tuple[str, ...]:
-        return self._adjacency[node]
+        return tuple(edge_id for edge_id, _ in self._adjacency[node])
 
     def degree(self, node: str) -> int:
         return len(self._adjacency[node])
@@ -130,8 +129,7 @@ class Topology:
         return list(self._sorted_edges)
 
 
-@dataclass(frozen=True)
-class TopologyViolation:
+class TopologyViolation(NamedTuple):
     rule: str
     subject: str
     detail: str
@@ -141,7 +139,7 @@ class TopologyViolation:
 
 
 def _connected_components(topology: Topology) -> list[set]:
-    edges, adjacency = topology.edges, topology._adjacency
+    adjacency = topology._adjacency
     seen: set[str] = set()
     components = []
     for start in topology.nodes:
@@ -153,9 +151,7 @@ def _connected_components(topology: Topology) -> list[set]:
             if node in comp:
                 continue
             comp.add(node)
-            for edge_id in adjacency[node]:
-                edge = edges[edge_id]
-                stack.append(edge.node_b if edge.node_a == node else edge.node_a)
+            stack.extend(other for _, other in adjacency[node])
         seen |= comp
         components.append(comp)
     return components
@@ -173,8 +169,9 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
         return violations
     components = _connected_components(topology)
     if len(components) > 1:
+        order = {node: i for i, node in enumerate(topology.nodes)}  # equal keys: the first declared
         for comp in components[1:]:
-            sample = min(comp, key=topology.sort_key)
+            sample = min(comp, key=lambda node: (topology.sort_key(node), order[node]))
             violations.append(
                 TopologyViolation("connectivity", sample, "node is not connected to the rest")
             )
@@ -197,8 +194,7 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
     return violations
 
 
-@dataclass(frozen=True)
-class EquivalentChannel:
+class EquivalentChannel(NamedTuple):
     """A contracted path of degree-2-joined edges treated as one channel."""
 
     edge_ids: tuple[str, ...]
@@ -239,12 +235,11 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
         for node in (edge.node_a, edge.node_b):
             prev_edge, segment = edge_id, []
             while node in interior:
-                first, second = topology.incident_edges(node)
-                prev_edge = second if prev_edge == first else first
+                (first, after_first), (second, after_second) = topology._adjacency[node]
+                prev_edge, node = (second, after_second) if prev_edge == first else (first, after_first)
                 if prev_edge == edge_id:
                     raise TopologyError("cycle composed entirely of degree-2 nodes is unsupported")
                 segment.append(prev_edge)
-                node = topology.edges[prev_edge].other(node)
             ends.append((node, segment))
         (end_a, seg_a), (end_b, seg_b) = ends
         if end_a == end_b:
@@ -261,8 +256,7 @@ def simplify_degree2(topology: Topology) -> tuple[Topology, list[EquivalentChann
     return Topology(nodes, [*surviving, *contracted]), equivalents
 
 
-@dataclass(frozen=True)
-class BranchSelection:
+class BranchSelection(NamedTuple):
     """Two physically disjoint monitor-reaching branches for Mergecast.
 
     ``path_a2`` and ``path_b`` run from the merge node to effective
@@ -304,43 +298,36 @@ def _ranked_monitors(
     monitor ranks at least ``d + 2``, so queued monitors ranked ``d + 1`` or
     better are final.
     """
-    edges = topology.edges
     adjacency = topology._adjacency
     keys = topology._keys
+    # Every node reached, monitors included: the start is never yielded, a monitor
+    # is queued once, and len(parent) grows with each push, so it is the heap's
+    # discovery counter.
     parent: dict[str, Optional[tuple[str, str]]] = {start: None}
     heap: list = []
-    discovered = {start}  # so the start is never yielded
     level = [start]
     depth = 0
     while level:
         next_level = []
         for node in level:
-            for edge_id in adjacency[node]:
-                if edge_id in blocked_edges:
-                    continue
-                edge = edges[edge_id]
-                other = edge.node_b if edge.node_a == node else edge.node_a
-                if other in chains:
-                    if other not in discovered:
-                        discovered.add(other)
-                        chain = chains[other]
-                        heapq.heappush(heap, (depth + 1 + len(chain), keys[other], len(discovered),
-                                              other, node, edge_id, chain))
-                    continue
-                if other in parent:
+            for edge_id, other in adjacency[node]:
+                if edge_id in blocked_edges or other in parent:
                     continue
                 parent[other] = (node, edge_id)
-                next_level.append(other)
+                if other in chains:
+                    heapq.heappush(heap, (depth + 1 + len(chains[other]), keys[other], len(parent), other))
+                else:
+                    next_level.append(other)
         level = next_level
         depth += 1
         # With no level left to expand, every queued monitor is final.
         while heap and (not level or heap[0][0] <= depth):
-            _, _, _, monitor, node, edge_id, chain = heapq.heappop(heap)
-            path = [edge_id]
+            _, _, _, monitor = heapq.heappop(heap)
+            path, node = [], monitor
             while parent[node] is not None:
                 node, edge_id = parent[node]
                 path.append(edge_id)
-            yield monitor, tuple(reversed(path)), chain
+            yield monitor, tuple(reversed(path)), chains[monitor]
 
 
 def select_mergecast_branches(
@@ -409,7 +396,7 @@ def etching_rounds(topology: Topology) -> Iterator[list[tuple[str, BranchSelecti
         # A round takes its whole frontier or raises, so edges at older effective
         # monitors are all identified; a node promoted last round has no identified
         # edges but that round's targets (the previous frontier).
-        frontier = sorted({e for node in promoted for e in topology.incident_edges(node)}
+        frontier = sorted({e for node in promoted for e, _ in topology._adjacency[node]}
                           .difference(frontier), key=rank.__getitem__)
         if not frontier:
             return

@@ -401,13 +401,19 @@ class TestArgParsing:
                 ": merge node 'H1' cannot reach two distinct effective monitors on edge-disjoint paths "
                 "avoiding target 'E1'\n",
             ),
+            (
+                b"node H internal\n\xff",
+                ": 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n",
+            ),
         ],
         ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1", "self-loops",
-             "contracts-to-one-edge", "one-edge", "two-edge-cut"],
+             "contracts-to-one-edge", "one-edge", "two-edge-cut", "not-utf-8"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.topo"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         with pytest.raises(SystemExit) as exit_info:
             main(["etch", "--topology", str(path), "--trials", "1", "--m-samples", "1000"])
@@ -686,23 +692,33 @@ class TestRunExperiment:
          (dict(experiment="sweep", spam_grid=((1, 1),), **RATIO_GRID),
           dict(experiment="sweep", spam_grid=((1.0, 1.0),), **RATIO_GRID)),
          (RATIO_GRID, dict(m_samples=(1000.0,), n_samples=(1000,))),
-         (dict(experiment="etch", m_samples=(1000,)), dict(experiment="etch", m_samples=(1000.0,)))],
-        ids=["star", "sweep", "star-samples", "etch-samples"],
+         (dict(experiment="etch", m_samples=(1000,)), dict(experiment="etch", m_samples=(1000.0,))),
+         (dict(seed=3, **RATIO_GRID), dict(seed=3.0, **RATIO_GRID)),
+         (dict(experiment="etch", m_samples=(1000,), trials=5),
+          dict(experiment="etch", m_samples=(1000,), trials=5.0)),
+         (dict(experiment="loss", q_params=(1, 0.5, 0.5), t_send_s=(1,), t_cutoff_s=(5,), horizon_s=100),
+          dict(experiment="loss", q_params=(1.0, 0.5, 0.5), t_send_s=(1.0,), t_cutoff_s=(5.0,),
+               horizon_s=100.0))],
+        ids=["star", "sweep", "star-samples", "etch-samples", "seed", "etch-trials", "loss"],
     )
     def test_int_and_float_spam_give_one_output(self, as_int, as_float):
-        # the stream labels and the config line spell s, m and the sample sizes, so equal
-        # configs must spell them alike
-        cfg_int, cfg_float = small_cfg(trials=50, **as_int), small_cfg(trials=50, **as_float)
+        # the stream labels and the config line spell s, m, the q values, the timings, the
+        # seed and the sizes, so equal configs must spell them alike
+        cfg_int, cfg_float = small_cfg(**{"trials": 50, **as_int}), small_cfg(**{"trials": 50, **as_float})
         assert cfg_int == cfg_float
         csv_int, csv_float = (normalize_runtime(rows_to_csv(cfg, run_experiment(cfg)))
                               for cfg in (cfg_int, cfg_float))
         assert csv_int == csv_float
 
-    @pytest.mark.parametrize("sizes", [dict(m_samples=(1000.5,)), dict(n_samples=(1000, math.nan)),
-                                       dict(m_samples=(math.inf,))], ids=["fraction", "nan", "inf"])
-    def test_config_rejects_a_sample_size_that_is_not_whole(self, sizes):
-        with pytest.raises(ValueError, match="sample sizes must be whole numbers"):
-            small_cfg(**sizes)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m_samples", (1000.5,)), ("n_samples", (1000, math.nan)), ("m_samples", (math.inf,)),
+         ("seed", 1.5), ("seed", math.nan), ("trials", 5.5), ("trials", math.inf)],
+        ids=["fraction", "nan", "inf", "seed-fraction", "seed-nan", "trials-fraction", "trials-inf"],
+    )
+    def test_config_rejects_a_sample_size_that_is_not_whole(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be whole, got "):
+            small_cfg(**{field: value})
 
     def test_sweep_driver_varies_spam(self):
         cfg = small_cfg(

@@ -1,5 +1,8 @@
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +15,7 @@ from qnt.network import (
     EquivalentChannel,
     Topology,
     TopologyError,
+    TopologyViolation,
     etching_rounds,
     natural_key,
     select_mergecast_branches,
@@ -99,6 +103,18 @@ class TestTopology:
         with pytest.raises(TopologyError, match="^edge 'E10' starts and ends at node 'H'$"):
             load_topology(DATA_DIR / "self_loops.topo")
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [(Edge("E", "A", "B", UNIFORM), "node_a"),
+         (TopologyViolation("empty", "-", "topology has no nodes"), "subject"),
+         (EquivalentChannel(("E1", "E2"), "A", "B", UNIFORM), "composite"),
+         (BranchSelection("H", (), ("E1",), (), ("E2",), ()), "path_a2")],
+        ids=["edge", "violation", "equivalent", "selection"],
+    )
+    def test_record_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "X")
+
 
 class TestValidate:
     def test_star_is_valid(self):
@@ -153,6 +169,24 @@ class TestValidate:
         topo = chain_topology()
         assert validate(topo) == []
         assert any(v.rule == "internal-degree" for v in validate(topo, require_simplified=True))
+
+    def test_connectivity_names_the_first_declared_of_equal_keys(self):
+        # N1, N001 and N01 are equal under natural_key, and a set of them iterates
+        # in an order that PYTHONHASHSEED decides
+        script = (
+            "from qnt.network import Edge, Topology, validate\n"
+            "from qnt.pauli import PauliChannel\n"
+            "ch = PauliChannel(0.8, 0.8, 0.8)\n"
+            "nodes = {'A': 'monitor', 'B': 'monitor', 'N1': 'internal', 'N001': 'internal', 'N01': 'internal'}\n"
+            "edges = [Edge('E1', 'A', 'B', ch), Edge('E2', 'N1', 'N001', ch), Edge('E3', 'N001', 'N01', ch)]\n"
+            "print([(v.rule, v.subject) for v in validate(Topology(nodes, edges))][0])\n"
+        )
+        src = str(pathlib.Path(network.__file__).resolve().parents[1])
+        for hash_seed in range(8):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash_seed)}
+            result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "('connectivity', 'N1')\n", hash_seed
 
 
 def reference_simplify_degree2(topology: Topology):
@@ -577,6 +611,20 @@ def random_mesh(seed: int, n_internal: int, n_extra: int) -> Topology:
     rng = random.Random(seed)
     links = [(f"H{i}", f"H{rng.randrange(i)}") for i in range(1, n_internal)]
     links += [tuple(f"H{j}" for j in rng.sample(range(n_internal), 2)) for _ in range(n_extra)]
+    return with_monitors(n_internal, links)
+
+
+def corner_monitor_grid(k: int) -> Topology:
+    """A k x k grid of internal nodes, H0 to H{k*k - 1} row by row, with a monitor
+    attached wherever a node's degree is below 3: one at each corner."""
+    links = [(f"H{i}", f"H{i + 1}") for i in range(k * k) if (i + 1) % k]
+    links += [(f"H{i}", f"H{i + k}") for i in range(k * k - k)]
+    return with_monitors(k * k, links)
+
+
+def with_monitors(n_internal: int, links: list) -> Topology:
+    """Internal nodes H0 to H{n_internal - 1} joined by ``links``, plus monitors
+    M<n> attached wherever an internal node has degree below 3."""
     kinds = {f"H{i}": "internal" for i in range(n_internal)}
     degree = dict.fromkeys(kinds, 0)
     for a, b in links:
@@ -648,6 +696,21 @@ class TestStoredKeys:
         ids.reverse()
         ids.append("extra")
         assert topology.sorted_edge_ids() == expected
+
+
+class TestStoredAdjacency:
+    """A node's (edge id, neighbour) pairs are its incident edges, each with its other end."""
+
+    def test_pairs_hold_each_incident_edge_and_its_other_end(self):
+        topologies = [random_multigraph(seed) for seed in range(300)]
+        topologies += [random_mesh(seed, 6 + seed % 15, 1 + seed % 5) for seed in range(300)]
+        parallel = 0
+        for topology in topologies:
+            for node in topology.nodes:
+                pairs = list(topology._adjacency[node])
+                assert pairs == [(e, topology.edges[e].other(node)) for e in topology.incident_edges(node)]
+                parallel += len({other for _, other in pairs}) < len(pairs)
+        assert parallel
 
 
 class TestStoredDegree:
@@ -747,3 +810,11 @@ class TestSelectionMatchesReference:
             pairs = _etch_against_reference(monkeypatch, random_mesh(seed, 6 + seed % 15, 1 + seed % 5))
             errors += isinstance(pairs[-1][0], str)
         assert 0 < errors < 50
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_corner_monitor_grids(self, monkeypatch, k):
+        grid = corner_monitor_grid(k)
+        assert len(grid.monitors) == 4
+        pairs = _etch_against_reference(monkeypatch, grid)
+        assert len(pairs) == len(grid.edges)
+        assert all(not isinstance(got, str) for got, _ in pairs)
