@@ -3,7 +3,7 @@
     qnt star|sweep|spam-s|spam-m|etch|loss [options]
 
 Common options: --trials K --seed S --full-scale --out FILE; each subcommand adds
-the options of the config fields its experiment reads (``experiments.READS``), so
+the options of the config fields its experiment reads (``experiments.EXPERIMENTS``), so
 ``--s VAL --m VAL`` everywhere but ``sweep``, which runs the pairs of
 ``--spam-grid``, and the CSV's ``# config`` line records the experiment, the
 versions and those fields.  Options must be spelled in full.  Sample lists accept
@@ -23,7 +23,11 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .experiments import READS, ExperimentConfig, write_experiment
+from .experiments import EXPERIMENTS, SWEEP_GRID, ExperimentConfig, write_experiment
+
+
+def _unreadable(chunk: str, form: str) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"cannot read {chunk!r}: expected {form}")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -33,26 +37,29 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise argparse.ArgumentTypeError(f"range must be start:stop:step, got {chunk!r}")
-            start, stop, step = (int(p) for p in parts)
-            if step <= 0:
-                raise argparse.ArgumentTypeError("range step must be positive")
-            values.extend(range(start, stop + 1, step))
-        else:
-            values.append(int(chunk))
+        parts = chunk.split(":")
+        try:
+            start, stop, step = map(int, parts) if len(parts) == 3 else (int(chunk), int(chunk), 1)
+        except ValueError:
+            raise _unreadable(chunk, "N or start:stop:step") from None
+        if step <= 0:
+            raise argparse.ArgumentTypeError("range step must be positive")
+        values.extend(range(start, stop + 1, step))
     if not values:
         raise argparse.ArgumentTypeError(f"empty sample list {text!r}")
     return tuple(values)
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(chunk) for chunk in text.split(",") if chunk.strip())
+    values = []
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(float(chunk))
+        except ValueError:
+            raise _unreadable(chunk, "a number") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    return values
+    return tuple(values)
 
 
 def parse_spam_grid(text: str) -> tuple[tuple[float, float], ...]:
@@ -62,27 +69,30 @@ def parse_spam_grid(text: str) -> tuple[tuple[float, float], ...]:
         pair = pair.strip()
         if not pair:
             continue
-        s_text, m_text = pair.split(":")
-        grid.append((float(s_text), float(m_text)))
+        try:
+            s_text, m_text = pair.split(":")
+            grid.append((float(s_text), float(m_text)))
+        except ValueError:
+            raise _unreadable(pair, "s:m;s:m") from None
     if not grid:
         raise argparse.ArgumentTypeError(f"empty SPAM grid {text!r}")
     return tuple(grid)
 
 
 # Each config field's option: its flag and argparse keywords.  A subcommand offers
-# those of the fields its experiment reads, in ``READS`` order; an option left
-# unset (None) keeps the config's default.
+# those of the fields its experiment reads, in the order of its ``reads``; an option
+# left unset (None) keeps the config's default.  ``--q``'s help names the
+# experiment's ``q_defaults``.
 _OPTIONS = {
     "topology_path": ("--topology", dict(help="topology file (defaults to the bundled 19-edge network)")),
     "s": ("--s", dict(type=float, help="preparation parameter s (default 1)")),
     "m": ("--m", dict(type=float, help="measurement parameter m (default 1)")),
-    "q_params": ("--q", dict(type=parse_float_list, help="channel q values: three (default 0.5,0.25,0.35), "
-                             "or two for spam-s and spam-m (default 0.5,0.25)")),
+    "q_params": ("--q", dict(type=parse_float_list, help="channel q values (default {q_defaults})")),
     "m_samples": ("--m-samples", dict(type=parse_int_list,
                                       help="merge-side sample sizes (list or start:stop:step)")),
     "n_samples": ("--n-samples", dict(type=parse_int_list, help="unicast-side sample sizes")),
-    "spam_grid": ("--spam-grid", dict(type=parse_spam_grid, help="semicolon-separated s:m pairs "
-                                      "(default 1:1;0.95:0.95;0.8:0.8;0.5:0.5)")),
+    "spam_grid": ("--spam-grid", dict(type=parse_spam_grid, help="semicolon-separated s:m pairs (default "
+                                      + ";".join(f"{s:g}:{m:g}" for s, m in SWEEP_GRID) + ")")),
     "t_send_s": ("--t-send", dict(type=parse_float_list, help="send intervals in seconds")),
     "t_cutoff_s": ("--t-cutoff", dict(type=parse_float_list, help="memory cutoffs in seconds")),
     "horizon_s": ("--horizon", dict(type=float, help="simulated time in seconds (default 3600)")),
@@ -102,18 +112,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser = argparse.ArgumentParser(prog="qnt", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in (
-        ("star", "merge-protocol MSE on a 3-link star over an (M, N) grid"),
-        ("sweep", "star experiment over a SPAM grid"),
-        ("spam-s", "preparation-error estimation MSE over an (M, N) grid"),
-        ("spam-m", "measurement-error estimation MSE over an (M, N) grid"),
-        ("etch", "progressive etching MSE per edge on a general topology"),
-        ("loss", "lossy-fiber merge protocol with memory decoherence"),
-    ):
+    for name, experiment in EXPERIMENTS.items():
         # no abbreviations: "--m" must not silently become "--m-samples" where --m is not offered
-        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for field in READS[name.replace("-", "_")]:
-            command.add_argument(_OPTIONS[field][0], dest=field, **_OPTIONS[field][1])
+        command = sub.add_parser(name.replace("_", "-"), help=experiment.help, allow_abbrev=False)
+        q_defaults = ",".join(f"{q:g}" for q in experiment.q_defaults)
+        for field in experiment.reads:
+            flag, options = _OPTIONS[field]
+            if field == "q_params":
+                options = dict(options, help=options["help"].format(q_defaults=q_defaults))
+            command.add_argument(flag, dest=field, **options)
     return parser, sub.choices
 
 

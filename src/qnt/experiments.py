@@ -12,9 +12,9 @@ followed by context columns ``target,step,t_send_s,t_cutoff_s`` that are
 blank where they do not apply.  ``n_degenerate`` counts a cell's NaN trials
 (those that could not divide, or ``loss`` trials that received nothing), and
 ``mse`` and ``mse_std`` are over the others.  The first line of every file is a
-``#`` comment embedding the experiment, the config fields it reads (``READS``)
-and ``VERSIONS``.  Apart from the ``runtime_ms`` column and the versions, output is
-byte-identical for identical config and seed.
+``#`` comment embedding the experiment, the config fields it reads (the ``reads``
+of its ``EXPERIMENTS`` entry) and ``VERSIONS``.  Apart from the ``runtime_ms``
+column and the versions, output is byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import numbers
 import os
 import platform
 import sys
@@ -43,20 +44,6 @@ from .protocols import SpamModel
 MAX_TRIALS = 10**7
 DESK_GRID = tuple(range(1000, 20001, 1000))
 FULL_GRID = tuple(range(100, 20001, 100))
-# The config fields each experiment reads, in CLI option order; the others keep their defaults.
-_RUN = ("trials", "seed", "full_scale", "output_path")
-_RATIO = ("s", "m", "q_params", "m_samples", "n_samples", *_RUN)
-READS = {
-    "star": _RATIO,
-    "sweep": ("q_params", "m_samples", "n_samples", "spam_grid", *_RUN),
-    "spam_s": _RATIO,
-    "spam_m": _RATIO,
-    "etch": ("topology_path", "s", "m", "m_samples", *_RUN),
-    "loss": ("s", "m", "q_params", "t_send_s", "t_cutoff_s", "horizon_s", *_RUN),
-}
-# The default ``q_params`` of each experiment that reads them; it reads exactly that many.
-Q_DEFAULTS = {"star": (0.5, 0.25, 0.35), "sweep": (0.5, 0.25, 0.35), "loss": (0.5, 0.25, 0.35),
-              "spam_s": (0.5, 0.25), "spam_m": (0.5, 0.25)}
 # The loss experiment's fixed hardware: a 10 km fiber and the merge node's memory.
 LOSS_FIBER = lossy.FiberParams(length_km=10.0, speed_km_per_s=2.0e5, p0=0.5, alpha_per_km=0.05)
 LOSS_MEMORY_T1_S = 10.0
@@ -68,7 +55,10 @@ VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.pyth
 
 
 def _whole(field: str, value) -> int:
-    """``value`` as an int; a fraction, NaN or infinity raises ``ValueError`` naming ``field``."""
+    """``value`` as an int; a value that is not a real number, a fraction, NaN or infinity
+    raises ``ValueError`` naming ``field``."""
+    if not isinstance(value, numbers.Real):  # "5" % 1 would be string formatting
+        raise ValueError(f"{field} must be a number, got {value!r}")
     if value % 1:  # NaN for a NaN or an infinity
         raise ValueError(f"{field} must be whole, got {value!r}")
     return int(value)
@@ -76,18 +66,19 @@ def _whole(field: str, value) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a driver needs; unset grids and trials fall back to scale defaults,
-    an unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to ``Q_DEFAULTS``, and
-    ``experiment`` to its ``READS`` key (``spam-s`` is ``spam_s``).  ``s``, ``m``, each
-    ``spam_grid`` pair, the q values and the loss timings are stored as floats and
-    ``seed``, ``trials`` and the sample sizes as ints, since stream labels and the
-    ``# config`` line spell them, so that ``s=1`` and ``s=1.0`` give one output.
-    ``channels``, not a field, holds the depolarizing channels of the q values.  An
-    unknown experiment, a field outside ``READS[experiment]`` set away from its default,
-    and out-of-range values, including a negative seed, a seed, trials or sample size
-    that is not whole, more than ``MAX_TRIALS`` trials (or trials times etch edges), a q
-    count other than its ``Q_DEFAULTS`` entry's, a q with |q| above 1 (``PauliChannel``
-    allows rounding slack past it), a zero SPAM parameter or q divisor, loss timings that
+    """Everything a driver needs; unset grids and trials fall back to scale defaults, an
+    unset ``spam_grid`` to ``SWEEP_GRID``, unset ``q_params`` to the ``q_defaults`` of
+    its ``EXPERIMENTS`` entry, and ``experiment`` to that entry's key (``spam-s`` is
+    ``spam_s``).  ``s``, ``m``, each ``spam_grid`` pair, the q values and the loss
+    timings are stored as floats and ``seed``, ``trials`` and the sample sizes as ints,
+    since stream labels and the ``# config`` line spell them, so that ``s=1`` and
+    ``s=1.0`` give one output.  ``channels``, not a field, holds the depolarizing
+    channels of the q values.  An unknown experiment, a field outside the entry's
+    ``reads`` set away from its default, and out-of-range values, including a negative
+    seed, a seed, trials or sample size that is not a whole number, more than
+    ``MAX_TRIALS`` trials (or trials times etch edges), a q count other than the
+    length of ``q_defaults``, a q with |q| above 1 (``PauliChannel`` allows rounding
+    slack past it), a zero SPAM parameter or q divisor, loss timings that
     :mod:`qnt.lossy` rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology
     that cannot be read or etched, an etch ``s`` too small to divide by, and an output
     path that is a directory or in no existing directory raise ``ValueError``."""
@@ -110,9 +101,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         typed, self.experiment = self.experiment, self.experiment.replace("-", "_")
-        if self.experiment not in READS:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {typed!r}")
-        reads = READS[self.experiment]
+        _, reads, _, q_defaults = EXPERIMENTS[self.experiment]
         for field in dataclasses.fields(self)[1:]:  # the fields after experiment
             if field.name not in reads and getattr(self, field.name) != field.default:
                 raise ValueError(f"{typed} does not read {field.name}; leave it at {field.default!r}")
@@ -125,7 +116,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be in [1, {MAX_TRIALS:.0e}], got {self.trials}")
         grid = FULL_GRID if self.full_scale else DESK_GRID
         for name, default in (("m_samples", grid), ("n_samples", grid), ("spam_grid", SWEEP_GRID),
-                              ("q_params", Q_DEFAULTS.get(self.experiment))):
+                              ("q_params", q_defaults)):
             if name in reads and not getattr(self, name):
                 setattr(self, name, default)
         self.s, self.m, self.horizon_s = float(self.s), float(self.m), float(self.horizon_s)
@@ -142,9 +133,8 @@ class ExperimentConfig:
             raise ValueError(f"output path {self.output_path!r} is a directory")
         if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
             raise ValueError(f"output path {self.output_path!r} is in no existing directory")
-        needed = len(Q_DEFAULTS.get(self.experiment, ()))
-        if len(self.q_params) != needed:
-            raise ValueError(f"{typed} needs {needed} q values, got {len(self.q_params)}")
+        if len(self.q_params) != len(q_defaults):
+            raise ValueError(f"{typed} needs {len(q_defaults)} q values, got {len(self.q_params)}")
         self.channels = ()
         for index, q in enumerate(self.q_params, start=1):
             if abs(q) > 1:  # PauliChannel allows rounding slack past 1, which a sampled probability cannot
@@ -227,7 +217,7 @@ CSV_COLUMNS = Row._fields
 
 
 def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
-    config = {name: getattr(cfg, name) for name in ("experiment", *READS[cfg.experiment])}
+    config = {name: getattr(cfg, name) for name in ("experiment", *EXPERIMENTS[cfg.experiment].reads)}
     config["versions"] = VERSIONS
     lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
     # a numpy float64 is a float, and a NaN prints as nan
@@ -395,19 +385,36 @@ def run_loss(cfg: ExperimentConfig) -> list[Row]:
     return rows
 
 
-DRIVERS = {
-    "star": run_star,
-    "sweep": run_star,
-    "spam_s": run_spam_s,
-    "spam_m": run_spam_m,
-    "etch": run_etch,
-    "loss": run_loss,
+class Experiment(NamedTuple):
+    """A subcommand: its driver, the config fields it reads in CLI option order (the others
+    keep their defaults), its help line, and its default ``q_params``, also how many it reads."""
+
+    driver: Callable[[ExperimentConfig], list[Row]]
+    reads: tuple[str, ...]
+    help: str
+    q_defaults: tuple[float, ...] = ()
+
+
+_RUN = ("trials", "seed", "full_scale", "output_path")
+_RATIO = ("s", "m", "q_params", "m_samples", "n_samples", *_RUN)
+_Q2, _Q3 = (0.5, 0.25), (0.5, 0.25, 0.35)
+# The experiments by config spelling, in subcommand order; ``spam_s`` is ``qnt spam-s``.
+EXPERIMENTS = {
+    "star": Experiment(run_star, _RATIO, "merge-protocol MSE on a 3-link star over an (M, N) grid", _Q3),
+    "sweep": Experiment(run_star, ("q_params", "m_samples", "n_samples", "spam_grid", *_RUN),
+                        "star experiment over a SPAM grid", _Q3),
+    "spam_s": Experiment(run_spam_s, _RATIO, "preparation-error estimation MSE over an (M, N) grid", _Q2),
+    "spam_m": Experiment(run_spam_m, _RATIO, "measurement-error estimation MSE over an (M, N) grid", _Q2),
+    "etch": Experiment(run_etch, ("topology_path", "s", "m", "m_samples", *_RUN),
+                       "progressive etching MSE per edge on a general topology"),
+    "loss": Experiment(run_loss, ("s", "m", "q_params", "t_send_s", "t_cutoff_s", "horizon_s", *_RUN),
+                       "lossy-fiber merge protocol with memory decoherence", _Q3),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Dispatch to the configured driver; rows come back in grid order."""
-    return DRIVERS[cfg.experiment](cfg)
+    return EXPERIMENTS[cfg.experiment].driver(cfg)
 
 
 def write_experiment(cfg: ExperimentConfig) -> str:

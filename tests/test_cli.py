@@ -14,13 +14,11 @@ from qnt import lossy, protocols, stats
 from qnt.cli import _parsers, build_parser, config_from_args, main, parse_int_list, parse_spam_grid
 from qnt.experiments import (
     CSV_COLUMNS,
-    DRIVERS,
+    EXPERIMENTS,
     LOSS_FIBER,
     LOSS_MEMORY_T1_S,
     LOSS_MEMORY_T2_S,
     MAX_TRIALS,
-    Q_DEFAULTS,
-    READS,
     SWEEP_GRID,
     ExperimentConfig,
     Row,
@@ -37,7 +35,7 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 def small_cfg(**overrides) -> ExperimentConfig:
     """A small config; its sample grids are set only where the experiment reads them."""
-    reads = READS.get(overrides.get("experiment", "star").replace("-", "_"), ())
+    reads = getattr(EXPERIMENTS.get(overrides.get("experiment", "star").replace("-", "_")), "reads", ())
     base = dict(experiment="star", seed=7, trials=20)
     base.update({name: grid for name, grid in (("m_samples", (2000,)), ("n_samples", (2000, 4000)))
                  if name in reads})
@@ -76,6 +74,18 @@ UNKNOWN_OPTIONS = [
     ["sweep", "--m", "1"],
     ["star", "--n", "8000"],
 ]
+
+# List values the option's parser cannot read, and the error naming the chunk and the form it expects.
+UNREADABLE_LISTS = {
+    ("star", "--m-samples", "1.5"): "argument --m-samples: cannot read '1.5': expected N or start:stop:step",
+    ("star", "--m-samples", "1:x:1"): "argument --m-samples: cannot read '1:x:1': expected N or start:stop:step",
+    ("star", "--n-samples", "100, 1:2"): "argument --n-samples: cannot read '1:2': expected N or start:stop:step",
+    ("star", "--q", "a,b,c"): "argument --q: cannot read 'a': expected a number",
+    ("loss", "--t-send", "x"): "argument --t-send: cannot read 'x': expected a number",
+    ("sweep", "--spam-grid", "1:1:1"): "argument --spam-grid: cannot read '1:1:1': expected s:m;s:m",
+    ("sweep", "--spam-grid", "1:x"): "argument --spam-grid: cannot read '1:x': expected s:m;s:m",
+    ("sweep", "--spam-grid", "1:1; 0.9"): "argument --spam-grid: cannot read '0.9': expected s:m;s:m",
+}
 
 # A small run of each subcommand, without --trials so that --full-scale changes
 # the trial count.  N >= 8000 for star and sweep and N >= 4000 for spam-s and
@@ -332,6 +342,7 @@ class TestArgParsing:
             ["etch", "--m-samples", "9223372036854775808"],
             # 526316 trials x 19 edges of fig1 is past MAX_TRIALS
             ["etch", "--trials", "526316"],
+            *map(list, UNREADABLE_LISTS),
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
@@ -345,6 +356,13 @@ class TestArgParsing:
             assert f"qnt {argv[0]}: error: unrecognized arguments: " in err
         else:
             assert f"qnt {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv", list(UNREADABLE_LISTS))
+    def test_unreadable_list_names_the_chunk_and_its_form(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"qnt {argv[0]}: error: {UNREADABLE_LISTS[argv]}\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -431,7 +449,8 @@ class TestArgParsing:
                                                      message):
         (tmp_path / "out_dir").mkdir()
         out = str(tmp_path / where)
-        monkeypatch.setitem(DRIVERS, "star", lambda cfg: pytest.fail("the grid ran"))
+        monkeypatch.setitem(EXPERIMENTS, "star",
+                            EXPERIMENTS["star"]._replace(driver=lambda cfg: pytest.fail("the grid ran")))
         with pytest.raises(SystemExit) as exit_info:
             main(["star", "--out", out])
         assert exit_info.value.code == 2
@@ -465,7 +484,7 @@ class TestArgParsing:
                 for flag in set(action.option_strings) - {"-h", "--help", "--out"}:
                     value = OPTION_PROBE_VALUE[flag]
                     if flag == "--q":  # as many values as the experiment reads
-                        value = ",".join(value.split(",")[:len(Q_DEFAULTS[name.replace("-", "_")])])
+                        value = ",".join(value.split(",")[:len(EXPERIMENTS[name.replace("-", "_")].q_defaults)])
                     changed = rows([*base, flag] + ([] if value is None else [value]))
                     if changed == base_rows:
                         ignored.append(f"{name} {flag}")
@@ -475,6 +494,20 @@ class TestArgParsing:
         sweep = _parsers()[1]["sweep"]
         assert not {"--s", "--m"} & set(sweep._option_string_actions)
         assert not re.search(r"--[sm](?![\w-])", sweep.format_help())
+
+    @pytest.mark.parametrize("name, shown, hidden", [("spam-s", "0.5,0.25)", "0.35"), ("spam-m", "0.5,0.25)", "0.35"),
+                                                     ("star", "0.5,0.25,0.35)", None)])
+    def test_q_help_names_the_experiments_own_defaults(self, name, shown, hidden, capsys):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # as one line, whatever the terminal width
+        assert f"--q Q_PARAMS channel q values (default {shown}" in text
+        assert hidden is None or hidden not in text
+
+    def test_spam_grid_help_names_the_sweep_grid(self):
+        text = " ".join(_parsers()[1]["sweep"].format_help().split())
+        assert SWEEP_GRID == ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
+        assert "--spam-grid SPAM_GRID semicolon-separated s:m pairs (default 1:1;0.95:0.95;0.8:0.8;0.5:0.5)" in text
 
     def test_loss_defaults_without_flags(self):
         cfg = config_from_args(build_parser().parse_args(["loss"]))
@@ -528,10 +561,8 @@ class TestArgParsing:
     def test_options_and_header_follow_reads(self):
         # the options a subcommand offers are the fields its experiment reads, in order,
         # and its header records exactly those, the experiment and the versions
-        commands = _parsers()[1]
-        assert {name.replace("-", "_") for name in commands} == set(READS) == set(DRIVERS)
-        for name, command in commands.items():
-            reads = READS[name.replace("-", "_")]
+        for name, command in _parsers()[1].items():
+            reads = EXPERIMENTS[name.replace("-", "_")].reads
             assert tuple(action.dest for action in command._actions if action.dest != "help") == reads
             header = rows_to_csv(config_from_args(build_parser().parse_args([name])), []).splitlines()[0]
             assert set(json.loads(header.removeprefix("# config "))) == {"experiment", "versions", *reads}
@@ -669,7 +700,7 @@ class TestRunExperiment:
     def test_sweep_defaults_to_the_sweep_grid(self):
         assert ExperimentConfig("sweep").spam_grid == SWEEP_GRID
         assert ExperimentConfig("star").spam_grid == ()
-        assert DRIVERS["sweep"] is DRIVERS["star"]
+        assert EXPERIMENTS["sweep"].driver is EXPERIMENTS["star"].driver
         # N = 20000 keeps a degenerate unicast count unlikely even at s = m = 0.5
         cfg = small_cfg(experiment="sweep", trials=5, m_samples=(20000,), n_samples=(20000,))
         rows = run_experiment(cfg)
@@ -718,6 +749,15 @@ class TestRunExperiment:
     )
     def test_config_rejects_a_sample_size_that_is_not_whole(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be whole, got "):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("seed", "5", "'5'"), ("seed", None, "None"), ("trials", "5", "'5'"),
+         ("m_samples", ("1000",), "'1000'"), ("n_samples", (1000, None), "None")],
+    )
+    def test_config_rejects_a_count_that_is_not_a_number(self, field, value, shown):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {shown}$"):
             small_cfg(**{field: value})
 
     def test_sweep_driver_varies_spam(self):
