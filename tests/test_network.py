@@ -1,8 +1,10 @@
+import hashlib
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +28,7 @@ from qnt.pauli import PauliChannel, compose_channels
 from qnt.protocols import SpamModel
 from qnt.topo_io import bundled_topology, load_topology
 from tests_support_chain import build_chain_heavy_topology
+from tests_support_tree import benchmark_tree
 
 UNIFORM = PauliChannel(0.8, 0.8, 0.8)
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -85,15 +88,24 @@ class TestNaturalKey:
 
 class TestTopology:
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="^duplicate edge id 'E'$"):
             Topology(
                 {"A": "monitor", "B": "monitor"},
                 [Edge("E", "A", "B", UNIFORM), Edge("E", "A", "B", UNIFORM)],
             )
 
-    def test_unknown_node_rejected(self):
-        with pytest.raises(TopologyError):
-            Topology({"A": "monitor"}, [Edge("E", "A", "ZZ", UNIFORM)])
+    @pytest.mark.parametrize(
+        "node_a, node_b, unknown",
+        [("A", "ZZ", "ZZ"), ("YY", "A", "YY"), ("YY", "ZZ", "YY"), ("YY", "YY", "YY")],
+        ids=["node_b", "node_a", "both", "loop-of-unknown"],
+    )
+    def test_unknown_node_rejected_naming_the_first_unknown_end(self, node_a, node_b, unknown):
+        with pytest.raises(TopologyError, match=f"^edge 'E' references unknown node '{unknown}'$"):
+            Topology({"A": "monitor"}, [Edge("E", node_a, node_b, UNIFORM)])
+
+    def test_unknown_node_kind_rejected(self):
+        with pytest.raises(TopologyError, match="^node 'B' has unknown kind 'relay'$"):
+            Topology({"A": "monitor", "B": "relay"}, [])
 
     def test_self_loop_rejected_naming_edge_and_node(self):
         with pytest.raises(TopologyError, match="^edge 'L' starts and ends at node 'X'$"):
@@ -818,3 +830,59 @@ class TestSelectionMatchesReference:
         pairs = _etch_against_reference(monkeypatch, grid)
         assert len(pairs) == len(grid.edges)
         assert all(not isinstance(got, str) for got, _ in pairs)
+
+    @pytest.mark.parametrize("n_edges", [200, 250, 300])
+    def test_benchmark_shaped_trees(self, monkeypatch, n_edges):
+        for seed in range(3):
+            tree = benchmark_tree(seed, n_edges)
+            assert len(tree.edges) == n_edges
+            pairs = _etch_against_reference(monkeypatch, tree)
+            assert len(pairs) == n_edges
+            assert all(not isinstance(got, str) for got, _ in pairs)
+
+    def test_round_dump_digest(self):
+        # Every round of 403 topologies (59 meshes end in a BranchSelectionError), with
+        # validate's output, as text: a change to the search or its tie-breaks shows here.
+        topologies = [random_mesh(seed, 6 + seed % 15, 1 + seed % 5) for seed in range(300)]
+        topologies += [random_tree(seed, 20 + 7 * seed) for seed in range(100)]
+        topologies += [corner_monitor_grid(k) for k in (10, 20, 30)]
+        digest, failures = hashlib.sha256(), 0
+        for topology in topologies:
+            lines = [repr(validate(topology, require_simplified=True))]
+            try:
+                lines += map(repr, etching_rounds(topology))
+            except BranchSelectionError as err:
+                lines.append(f"BranchSelectionError: {err}")
+                failures += 1
+            digest.update(("\n".join(lines) + "\n").encode())
+        assert failures == 59
+        assert digest.hexdigest()[:16] == "ff5ddb32d9a41eca"
+
+
+class TestEtchingCost:
+    """Deterministic counts of the searches and kernel calls a sweep makes."""
+
+    def test_tree60_searches_and_kernel_calls(self, monkeypatch):
+        topology, _ = simplify_degree2(load_topology(DATA_DIR / "tree60_reversed.topo"))
+        searches, kernel_calls, current = Counter(), Counter(), []
+        ranked, select, pipeline = network._ranked_monitors, network.select_mergecast_branches, protocols._pipeline
+
+        def counted_select(topology, chains, target):
+            current[:] = [target]
+            return select(topology, chains, target)
+
+        def counted_search(*args):
+            searches[current[0]] += 1
+            return ranked(*args)
+
+        def counted_pipeline(table, paths, spam, basis, *args, **kwargs):
+            kernel_calls[basis] += 1
+            return pipeline(table, paths, spam, basis, *args, **kwargs)
+
+        monkeypatch.setattr(network, "select_mergecast_branches", counted_select)
+        monkeypatch.setattr(network, "_ranked_monitors", counted_search)
+        monkeypatch.setattr(protocols, "_pipeline", counted_pipeline)
+        plan = protocols.plan_etching(topology, SpamModel(1.0, 1.0), ("Z", "X", "Y"))
+        assert set(searches) == set(topology.edges)
+        assert max(searches.values()) <= 2
+        assert kernel_calls == dict.fromkeys("ZXY", len(plan.rounds))

@@ -490,12 +490,16 @@ class TestPrimitivesMatchReferenceForms:
             ((0.0, -1.2, 0.0), "q_y = -1.2 outside [-1, 1]"),
             ((0.5, 0.5, 1.0 + 2 * ATOL), "q_z = 1.000000000002 outside [-1, 1]"),
             ((0.0, float("nan"), 2.0), "q_y = nan outside [-1, 1]"),
+            ((float("nan"), 0.5, 0.5), "q_x = nan outside [-1, 1]"),
+            ((0.5, 0.5, float("nan")), "q_z = nan outside [-1, 1]"),
+            ((2.0, float("nan"), 0.5), "q_x = 2.0 outside [-1, 1]"),
             ((-1.0, -1.0, -1.0), "complete positivity violated: p_i = -0.5 < 0 for q = (-1.0, -1.0, -1.0)"),
             ((-1.0, 1.0, 1.0), "complete positivity violated: p_x = -0.5 < 0 for q = (-1.0, 1.0, 1.0)"),
             ((1.0, -1.0, 1.0), "complete positivity violated: p_y = -0.5 < 0 for q = (1.0, -1.0, 1.0)"),
             ((1.0, 1.0, -1.0), "complete positivity violated: p_z = -0.5 < 0 for q = (1.0, 1.0, -1.0)"),
         ],
-        ids=["q_x", "q_y", "q_z", "nan", "p_i", "p_x", "p_y", "p_z"],
+        ids=["q_x", "q_y", "q_z", "nan", "nan-q_x", "nan-q_z", "range-before-nan", "p_i", "p_x", "p_y",
+             "p_z"],
     )
     def test_channel_check_messages(self, q, message):
         assert reference_channel_error(*q) == message

@@ -47,11 +47,35 @@ class TestParse:
             parse_topology(text)
         assert err.value.line_no == 3
 
-    def test_unknown_node_reference(self):
-        text = "node A monitor\nedge E A GHOST 0.5 0.5 0.5\n"
+    @pytest.mark.parametrize(
+        "ends, unknown",
+        [("A GHOST", "GHOST"), ("GHOST A", "GHOST"), ("GHOST SPOOK", "GHOST"), ("SPOOK SPOOK", "SPOOK")],
+        ids=["node_b", "node_a", "both", "loop-of-unknown"],
+    )
+    def test_unknown_node_reference(self, ends, unknown):
+        text = f"node A monitor\nedge E {ends} 0.5 0.5 0.5\n"
         with pytest.raises(TopologyParseError) as err:
             parse_topology(text)
-        assert "GHOST" in str(err.value)
+        assert str(err.value) == f"line 2: unknown node reference {unknown!r}"
+
+    @pytest.mark.parametrize(
+        "filler",
+        ["# only a comment", "   ", "\t", "  # indented comment", "#", ""],
+        ids=["comment", "spaces", "tab", "indented-comment", "bare-hash", "empty"],
+    )
+    def test_comment_and_blank_lines_are_skipped_but_counted(self, filler):
+        text = f"{filler}\nnode A monitor\n{filler}\nnode B monitor\n{filler}\nedge E A B 1.5 0.5 0.5\n"
+        with pytest.raises(TopologyParseError) as err:
+            parse_topology(text)
+        assert str(err.value) == "line 6: invalid channel: q_x = 1.5 outside [-1, 1]"
+        topo = parse_topology(text.replace("1.5", "0.5"))
+        assert dict(topo.nodes) == {"A": "monitor", "B": "monitor"}
+        assert list(topo.edges) == ["E"]
+
+    def test_fields_may_be_separated_by_any_whitespace(self):
+        topo = parse_topology("node\tA  monitor\r\n node B monitor \nedge E A\tB 0.5 0.5 0.5#c\n")
+        assert dict(topo.nodes) == {"A": "monitor", "B": "monitor"}
+        assert topo.edges["E"].channel.q == (0.5, 0.5, 0.5)
 
     def test_duplicate_edge(self):
         text = (
