@@ -54,14 +54,25 @@ SWEEP_GRID = ((1.0, 1.0), (0.95, 0.95), (0.8, 0.8), (0.5, 0.5))
 VERSIONS = {"qnt": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
+# The real numbers, float and int first: they pass without the slower ABC check.
+_REAL = (float, int, numbers.Real)
+
+
 def _whole(field: str, value) -> int:
     """``value`` as an int; a value that is not a real number, a fraction, NaN or infinity
     raises ``ValueError`` naming ``field``."""
-    if not isinstance(value, numbers.Real):  # "5" % 1 would be string formatting
+    if not isinstance(value, _REAL):  # "5" % 1 would be string formatting
         raise ValueError(f"{field} must be a number, got {value!r}")
     if value % 1:  # NaN for a NaN or an infinity
         raise ValueError(f"{field} must be whole, got {value!r}")
     return int(value)
+
+
+def _real(field: str, value) -> float:
+    """``value`` as a float; a value that is not a real number raises ``ValueError`` naming ``field``."""
+    if not isinstance(value, _REAL):  # float("0.5") would parse a string
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -74,7 +85,8 @@ class ExperimentConfig:
     since stream labels and the ``# config`` line spell them, so that ``s=1`` and
     ``s=1.0`` give one output.  ``channels``, not a field, holds the depolarizing
     channels of the q values.  An unknown experiment, a field outside the entry's
-    ``reads`` set away from its default, and out-of-range values, including a negative
+    ``reads`` set away from its default, a value that is not a number (a ``spam_grid``
+    item that is not a pair), and out-of-range values, including a negative
     seed, a seed, trials or sample size that is not a whole number, more than
     ``MAX_TRIALS`` trials (or trials times etch edges), a q count other than the
     length of ``q_defaults``, a q with |q| above 1 (``PauliChannel`` allows rounding
@@ -119,10 +131,16 @@ class ExperimentConfig:
                               ("q_params", q_defaults)):
             if name in reads and not getattr(self, name):
                 setattr(self, name, default)
-        self.s, self.m, self.horizon_s = float(self.s), float(self.m), float(self.horizon_s)
+        self.s, self.m = _real("s", self.s), _real("m", self.m)
+        self.horizon_s = _real("horizon_s", self.horizon_s)
         self.q_params, self.t_send_s, self.t_cutoff_s = (
-            tuple(map(float, values)) for values in (self.q_params, self.t_send_s, self.t_cutoff_s))
-        self.spam_grid = tuple((float(s), float(m)) for s, m in self.spam_grid)
+            tuple(map(_real, itertools.repeat(name), getattr(self, name)))
+            for name in ("q_params", "t_send_s", "t_cutoff_s"))
+        try:
+            pairs = [(s, m) for s, m in self.spam_grid]
+        except (TypeError, ValueError):  # an item that is not a pair
+            raise ValueError(f"spam_grid must hold (s, m) pairs, got {self.spam_grid!r}") from None
+        self.spam_grid = tuple((_real("spam_grid", s), _real("spam_grid", m)) for s, m in pairs)
         self.m_samples = tuple(_whole("m_samples", size) for size in self.m_samples)
         self.n_samples = tuple(_whole("n_samples", size) for size in self.n_samples)
         if min(self.m_samples + self.n_samples, default=1) < 1:
@@ -177,10 +195,12 @@ class ExperimentConfig:
             else:
                 raw = topo_io.bundled_topology("fig1")
             simplified, _ = network.simplify_degree2(raw)
+            edges = simplified.edges
             for edge_id in simplified.sorted_edge_ids():
-                if max(map(abs, simplified.edges[edge_id].channel.q)) > 1:  # as for --q values
+                q_x, q_y, q_z = edges[edge_id].channel.q
+                if not (-1 <= q_x <= 1 and -1 <= q_y <= 1 and -1 <= q_z <= 1):  # as for --q values
                     raise protocols.ProtocolError(f"edge {edge_id!r} has a |q| above 1")
-                if simplified.edges[edge_id].channel.q_z == 0:  # run_etch estimates q_Z by dividing by it
+                if q_z == 0:  # run_etch estimates q_Z by dividing by it
                     raise protocols.ProtocolError(f"edge {edge_id!r} has q_Z = 0, which etching cannot estimate")
             return protocols.plan_etching(simplified, self.spam, ("Z",))
         except OSError as err:  # its str() names the path a second time
@@ -220,12 +240,18 @@ def rows_to_csv(cfg: ExperimentConfig, rows: Sequence[Row]) -> str:
     config = {name: getattr(cfg, name) for name in ("experiment", *EXPERIMENTS[cfg.experiment].reads)}
     config["versions"] = VERSIONS
     lines = ["# config " + json.dumps(config, sort_keys=True), ",".join(CSV_COLUMNS)]
-    # a numpy float64 is a float, and a NaN prints as nan
-    lines += [
-        ",".join(["" if cell is None else f"{cell:.17g}" if isinstance(cell, float) else str(cell)
-                  for cell in row])
-        for row in rows
-    ]
+    columns = []
+    for column in zip(*rows):
+        # A run of one object is formatted once.  Only ``is`` finds a run: 0.0 == -0.0
+        # and 1 == 1.0 == True, but each prints differently.
+        texts, last, text = [], None, ""
+        for cell in column:
+            if cell is not last:  # a numpy float64 is a float, and a NaN prints as nan
+                last = cell
+                text = "" if cell is None else f"{cell:.17g}" if isinstance(cell, float) else str(cell)
+            texts.append(text)
+        columns.append(texts)
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -240,13 +266,13 @@ def _row(
     agg: stats.TrialAggregate,
     runtime_ms: float,
     crb: Optional[float] = None,
-    **context,
+    *context,
 ) -> Row:
     """A cell's row: the truth and MSE of its trials' aggregate ``agg``, with
-    ``samples`` as (M, N) and ``context`` for the columns after ``seed``."""
-    # the fixed column prefix, in CSV order
-    return Row(cfg.experiment, *samples, spam.s, spam.m, agg.truth, agg.mse, agg.mse_std,
-               agg.n_degenerate, crb, runtime_ms, cfg.seed, **context)
+    ``samples`` as (M, N) and ``context`` for the columns after ``seed`` in order
+    (``target``, ``step``, ``t_send_s``, ``t_cutoff_s``)."""
+    # the fields of a TrialAggregate are the columns truth to n_degenerate
+    return Row(cfg.experiment, *samples, spam.s, spam.m, *agg, crb, runtime_ms, cfg.seed, *context)
 
 
 def _ratio_rows(
@@ -279,7 +305,7 @@ def _ratio_rows(
         except ZeroDivisionError:  # spam-s and spam-m at m s q1 q2 = 1: every estimate is exact, the bound 0/0
             bound = None
         rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
-                         runtime, crb=bound, target=target))
+                         runtime, bound, target))
     return rows
 
 
@@ -358,10 +384,9 @@ def run_etch(cfg: ExperimentConfig) -> list[Row]:
                                        cfg.trials)
         runtime = (time.perf_counter() - start) * 1e3
         aggs = stats.aggregate_mse_rows([run.estimates[edge_id].q_z for edge_id in edge_ids], truths)
-        rows += [
-            _row(cfg, spam, (m_size, m_size), agg, runtime, target=edge_id, step=run.steps[edge_id])
-            for edge_id, agg in zip(edge_ids, aggs)
-        ]
+        samples = (m_size, m_size)
+        rows += [_row(cfg, spam, samples, agg, runtime, None, edge_id, run.steps[edge_id])
+                 for edge_id, agg in zip(edge_ids, aggs)]
     return rows
 
 
@@ -380,8 +405,7 @@ def run_loss(cfg: ExperimentConfig) -> list[Row]:
         samples = (sum(r.merged_count for r in results) / cfg.trials,
                    sum(r.received_count for r in results) / cfg.trials)
         agg = stats.aggregate_mse([r.estimate for r in results], cfg.channels[0].q_z)
-        rows.append(_row(cfg, cfg.spam, samples, agg, runtime,
-                         target="qZ1", t_send_s=t_send, t_cutoff_s=t_cutoff))
+        rows.append(_row(cfg, cfg.spam, samples, agg, runtime, None, "qZ1", None, t_send, t_cutoff))
     return rows
 
 

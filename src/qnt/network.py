@@ -75,30 +75,30 @@ class Topology:
             if kind not in (MONITOR, INTERNAL):
                 raise TopologyError(f"node {node!r} has unknown kind {kind!r}")
         edge_map: dict[str, Edge] = {}
-        adjacency: dict[str, list[tuple[str, str]]] = {node: [] for node in node_map}
         for edge in edges:
-            if edge.edge_id in edge_map:
-                raise TopologyError(f"duplicate edge id {edge.edge_id!r}")
-            for endpoint in (edge.node_a, edge.node_b):
-                if endpoint not in node_map:
-                    raise TopologyError(
-                        f"edge {edge.edge_id!r} references unknown node {endpoint!r}"
-                    )
-            if edge.node_a == edge.node_b:
-                raise TopologyError(f"edge {edge.edge_id!r} starts and ends at node {edge.node_a!r}")
-            edge_map[edge.edge_id] = edge
-            adjacency[edge.node_a].append((edge.edge_id, edge.node_b))
-            adjacency[edge.node_b].append((edge.edge_id, edge.node_a))
+            edge_id, node_a, node_b, _ = edge
+            if edge_id in edge_map:
+                raise TopologyError(f"duplicate edge id {edge_id!r}")
+            if node_a not in node_map or node_b not in node_map:
+                unknown = node_b if node_a in node_map else node_a
+                raise TopologyError(f"edge {edge_id!r} references unknown node {unknown!r}")
+            if node_a == node_b:
+                raise TopologyError(f"edge {edge_id!r} starts and ends at node {node_a!r}")
+            edge_map[edge_id] = edge
         # Natural-order keys of every node and edge name, computed once.
-        self._keys = {name: natural_key(name) for name in (*node_map, *edge_map)}
-        key = self._keys.__getitem__
-        for incident in adjacency.values():
-            incident.sort(key=lambda pair: key(pair[0]))
+        names = (*node_map, *edge_map)
+        self._keys = dict(zip(names, map(natural_key, names)))
+        self._sorted_edges = tuple(sorted(edge_map, key=self._keys.__getitem__))
+        # Each node's (edge id, neighbour) pairs in natural edge order, equal keys in
+        # insertion order: pairs are appended in the order of the stable sort above.
+        adjacency: dict[str, list[tuple[str, str]]] = {node: [] for node in node_map}
+        for edge_id in self._sorted_edges:
+            _, node_a, node_b, _ = edge_map[edge_id]
+            adjacency[node_a].append((edge_id, node_b))
+            adjacency[node_b].append((edge_id, node_a))
         self._nodes = MappingProxyType(node_map)
         self._edges = MappingProxyType(edge_map)
-        # Each node's (edge id, neighbour) pairs in natural edge order.
-        self._adjacency = MappingProxyType({n: tuple(pairs) for n, pairs in adjacency.items()})
-        self._sorted_edges = tuple(sorted(edge_map, key=key))
+        self._adjacency = MappingProxyType(dict(zip(adjacency, map(tuple, adjacency.values()))))
 
     @property
     def nodes(self) -> Mapping[str, str]:
@@ -145,13 +145,12 @@ def _connected_components(topology: Topology) -> list[set]:
     for start in topology.nodes:
         if start in seen:
             continue
-        stack, comp = [start], set()
+        stack, comp = [start], {start}
         while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(other for _, other in adjacency[node])
+            for _, other in adjacency[stack.pop()]:
+                if other not in comp:
+                    comp.add(other)
+                    stack.append(other)
         seen |= comp
         components.append(comp)
     return components
@@ -175,8 +174,9 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
             violations.append(
                 TopologyViolation("connectivity", sample, "node is not connected to the rest")
             )
+    adjacency = topology._adjacency
     for node, kind in topology.nodes.items():
-        degree = topology.degree(node)
+        degree = len(adjacency[node])
         if kind == MONITOR and degree != 1:
             violations.append(
                 TopologyViolation("monitor-degree", node, f"monitor has degree {degree}, expected 1")
@@ -189,7 +189,7 @@ def validate(topology: Topology, require_simplified: bool = False) -> list[Topol
                     "internal-degree", node, f"internal node has degree {degree} after simplification"
                 )
             )
-    if not topology.monitors:
+    if MONITOR not in topology.nodes.values():
         violations.append(TopologyViolation("no-monitors", "-", "topology has no monitor nodes"))
     return violations
 
@@ -302,7 +302,7 @@ def _ranked_monitors(
     keys = topology._keys
     # Every node reached, monitors included: the start is never yielded, a monitor
     # is queued once, and len(parent) grows with each push, so it is the heap's
-    # discovery counter.
+    # discovery counter, and no two entries compare past it to a monitor's name or chain.
     parent: dict[str, Optional[tuple[str, str]]] = {start: None}
     heap: list = []
     level = [start]
@@ -311,23 +311,25 @@ def _ranked_monitors(
         next_level = []
         for node in level:
             for edge_id, other in adjacency[node]:
-                if edge_id in blocked_edges or other in parent:
+                if other in parent or edge_id in blocked_edges:
                     continue
                 parent[other] = (node, edge_id)
-                if other in chains:
-                    heapq.heappush(heap, (depth + 1 + len(chains[other]), keys[other], len(parent), other))
-                else:
+                chain = chains.get(other)
+                if chain is None:
                     next_level.append(other)
+                else:
+                    heapq.heappush(heap, (depth + 1 + len(chain), keys[other], len(parent), other, chain))
         level = next_level
         depth += 1
         # With no level left to expand, every queued monitor is final.
         while heap and (not level or heap[0][0] <= depth):
-            _, _, _, monitor = heapq.heappop(heap)
+            _, _, _, monitor, chain = heapq.heappop(heap)
             path, node = [], monitor
             while parent[node] is not None:
                 node, edge_id = parent[node]
                 path.append(edge_id)
-            yield monitor, tuple(reversed(path)), chains[monitor]
+            path.reverse()
+            yield monitor, tuple(path), chain
 
 
 def select_mergecast_branches(
@@ -348,27 +350,30 @@ def select_mergecast_branches(
     identified chain behind the monitor included), then in natural monitor
     name order, and the first edge-disjoint pair wins.
     """
-    edge = topology.edges[target]
-    a, b = edge.node_a, edge.node_b
-    candidates = [(outer, center) for outer, center in ((a, b), (b, a)) if outer in chains]
-    if not candidates:
-        raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
-    if len(candidates) == 2:
-        candidates.sort(key=lambda pair: topology._keys[pair[0]])
+    _, a, b, _ = topology._edges[target]
+    if b not in chains:
+        if a not in chains:
+            raise BranchSelectionError(f"target {target!r} has no endpoint in the effective monitors")
+        candidates = ((a, b),)
+    elif a not in chains:
+        candidates = ((b, a),)
+    else:  # natural order of the outer end, equal keys as listed
+        candidates = ((b, a), (a, b)) if topology._keys[b] < topology._keys[a] else ((a, b), (b, a))
 
     for outer, center in candidates:
         target_chain = chains[outer]
-        reserved = {target}.union(target_chain)
+        reserved = {target, *target_chain}
         for monitor_a, path_a, chain_a in _ranked_monitors(topology, chains, center, reserved):
             if monitor_a == outer:
                 continue
-            used = reserved.union(path_a, chain_a)
+            used = {*reserved, *path_a, *chain_a}
             if len(used) != len(reserved) + len(path_a) + len(chain_a):
                 continue
             for monitor_b, path_b, chain_b in _ranked_monitors(topology, chains, center, used):
-                if monitor_b in (outer, monitor_a):
+                if monitor_b == outer or monitor_b == monitor_a:
                     continue
-                if len(used.union(path_b, chain_b)) != len(used) + len(path_b) + len(chain_b):
+                # path_b is simple and avoids used, so only a chain can overlap
+                if chain_b and len(used.union(path_b, chain_b)) != len(used) + len(path_b) + len(chain_b):
                     continue
                 return BranchSelection(center, target_chain, path_a, chain_a, path_b, chain_b)
         last_error = (

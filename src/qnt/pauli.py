@@ -150,10 +150,12 @@ class PauliChannel:
     q_z: float
 
     def __post_init__(self):
-        # One chained comparison accepts a valid channel; _reject names what failed.
+        # One chained comparison accepts a valid channel, with the four probabilities
+        # computed as probabilities() does; _reject names what failed.
         q_x, q_y, q_z = self.q_x, self.q_y, self.q_z
         if not (_Q_MIN <= q_x <= _Q_MAX and _Q_MIN <= q_y <= _Q_MAX and _Q_MIN <= q_z <= _Q_MAX
-                and min(self.probabilities()) >= -ATOL):
+                and (1.0 + q_x + q_y + q_z) / 4.0 >= -ATOL and (1.0 + q_x - q_y - q_z) / 4.0 >= -ATOL
+                and (1.0 - q_x + q_y - q_z) / 4.0 >= -ATOL and (1.0 - q_x - q_y + q_z) / 4.0 >= -ATOL):
             self._reject()
 
     def _reject(self):

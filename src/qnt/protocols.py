@@ -118,7 +118,7 @@ class ChannelEstimate(NamedTuple):
 
 def _diagonals(channels: Iterable[PauliChannel]) -> np.ndarray:
     """A row (1, q_X, q_Y, q_Z) per channel, then the row of ones that pads index paths."""
-    return np.array([*((1.0, *ch.q) for ch in channels), (1.0, 1.0, 1.0, 1.0)])
+    return np.array([(1.0, ch.q_x, ch.q_y, ch.q_z) for ch in channels] + [(1.0, 1.0, 1.0, 1.0)])
 
 
 def _index_paths(paths: Sequence[Sequence[str]], index: dict) -> np.ndarray:
@@ -446,18 +446,19 @@ def plan_etching(topology: Topology, spam: SpamModel, bases: Sequence[str] = ("Z
     problems = network.validate(topology, require_simplified=True)
     if problems:
         raise ProtocolError("cannot be etched: " + "; ".join(map(str, problems)))
-    index = {edge_id: row for row, edge_id in enumerate(topology.edges)}
+    index = dict(zip(topology.edges, itertools.count()))
+    pad = len(index)
     table = _diagonals(edge.channel for edge in topology.edges.values())
     rounds = []
     for selections in network.etching_rounds(topology):
-        targets = [target for target, _ in selections]
-        routes = [((*selection.target_chain, target), selection.full_a2, selection.full_b)
-                  for target, selection in selections]
+        targets, heads, routes = [], [], []
+        for target, (_, chain, path_a2, chain_a2, path_b, chain_b) in selections:
+            targets.append(target)
+            heads.append(index[chain[0]] if chain else pad)
+            routes.append(((*chain, target), path_a2 + chain_a2, path_b + chain_b))
         paths = tuple(_index_paths(part, index) for part in zip(*routes))  # chain then target, a2, b
         probs = {basis: _pipeline(table, paths, spam, basis, labels=targets) for basis in bases}
-        heads = [index[sel.target_chain[0]] if sel.target_chain else len(index) for _, sel in selections]
-        rows = [index[target] for target in targets]
-        rounds.append((targets, rows, heads, probs))
+        rounds.append((targets, [index[target] for target in targets], heads, probs))
     return EtchingPlan(topology, spam.s, tuple(bases), tuple(rounds))
 
 
@@ -488,7 +489,7 @@ def sample_etching(plan: EtchingPlan, samples: tuple[int, int], seed: int,
 
         steps.update(dict.fromkeys(targets, round_num))
         columns = (by_basis.get(b, itertools.repeat(unmeasured)) for b in "XYZ")
-        estimates.update(zip(targets, map(ChannelEstimate, *columns)))
+        estimates.update(zip(targets, map(ChannelEstimate._make, zip(*columns))))
 
     return EtchingRun(estimates, steps)
 

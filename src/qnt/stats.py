@@ -9,6 +9,7 @@ non-overlapping streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from typing import NamedTuple, Sequence, Union
@@ -73,11 +74,12 @@ def aggregate_mse_rows(
     # multiplies instead and differs in the last bit now and then.
     sq = np.float_power(values - truth[:, np.newaxis], 2)
     finite = np.isfinite(sq)
-    if finite.all():
-        moments = zip(sq.mean(axis=-1).tolist(), sq.std(axis=-1).tolist(), [n_trials] * truth.size)
-    else:  # a row alone over its finite trials; one with none is NaN, with no empty-mean warning
-        kept = [row[keep] for row, keep in zip(sq, finite)]
-        moments = [(float(k.mean()), float(k.std()), k.size) if k.size else (math.nan, math.nan, 0) for k in kept]
+    if finite.all():  # dividing an array by a float rounds each quotient as a scalar division does
+        return list(map(TrialAggregate, truth.tolist(), sq.mean(axis=-1).tolist(),
+                        (sq.std(axis=-1) / math.sqrt(n_trials)).tolist(), itertools.repeat(0)))
+    # otherwise a row alone over its finite trials; one with none is NaN, with no empty-mean warning
+    kept = [row[keep] for row, keep in zip(sq, finite)]
+    moments = [(float(k.mean()), float(k.std()), k.size) if k.size else (math.nan, math.nan, 0) for k in kept]
     return [
         TrialAggregate(t, mse, sq_std / math.sqrt(n) if n else math.nan, n_trials - n)
         for t, (mse, sq_std, n) in zip(truth.tolist(), moments)

@@ -30,10 +30,9 @@ def parse_topology(text: str) -> Topology:
     nodes: dict[str, str] = {}
     edges: dict[str, Edge] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
         if kind == "node":
             if len(fields) != 3:
@@ -49,18 +48,18 @@ def parse_topology(text: str) -> Topology:
                 raise TopologyParseError(
                     line_no, "expected: edge <id> <nodeA> <nodeB> <q_x> <q_y> <q_z>"
                 )
-            _, edge_id, node_a, node_b, *qs = fields
+            _, edge_id, node_a, node_b, q_x, q_y, q_z = fields
             if edge_id in edges:
                 raise TopologyParseError(line_no, f"duplicate edge id {edge_id!r}")
-            for endpoint in (node_a, node_b):
-                if endpoint not in nodes:
-                    raise TopologyParseError(line_no, f"unknown node reference {endpoint!r}")
+            if node_a not in nodes or node_b not in nodes:
+                unknown = node_b if node_a in nodes else node_a
+                raise TopologyParseError(line_no, f"unknown node reference {unknown!r}")
             try:
-                q_x, q_y, q_z = map(float, qs)
+                q = float(q_x), float(q_y), float(q_z)
             except ValueError:
-                raise TopologyParseError(line_no, f"non-numeric channel parameters {qs!r}") from None
+                raise TopologyParseError(line_no, f"non-numeric channel parameters {fields[4:]!r}") from None
             try:
-                channel = PauliChannel(q_x, q_y, q_z)
+                channel = PauliChannel(*q)
             except ChannelValidationError as exc:
                 raise TopologyParseError(line_no, f"invalid channel: {exc}") from None
             edges[edge_id] = Edge(edge_id, node_a, node_b, channel)

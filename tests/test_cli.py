@@ -395,6 +395,13 @@ class TestArgParsing:
                 "edge 'P1' has a |q| above 1",
             ),
             (
+                # the file lists P10 first, but P2 comes first in natural order
+                "node H internal\nnode M1 monitor\nnode M2 monitor\nnode M3 monitor\n"
+                "edge P10 H M1 0.5 0.5 1.0000000000001\nedge P2 H M2 0.5 0.5 0.0\n"
+                "edge P3 H M3 0.8 0.8 0.8\n",
+                "edge 'P2' has q_Z = 0, which etching cannot estimate",
+            ),
+            (
                 # the constructor names the first loop it meets, and the file lists E10 before E9
                 (DATA_DIR / "self_loops.topo").read_text(),
                 ": edge 'E10' starts and ends at node 'H'\n",
@@ -424,7 +431,8 @@ class TestArgParsing:
                 ": 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n",
             ),
         ],
-        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1", "self-loops",
+        ids=["missing", "parse", "degree-2-cycle", "not-etchable", "zero-q-z", "q-above-1",
+             "first-in-natural-order", "self-loops",
              "contracts-to-one-edge", "one-edge", "two-edge-cut", "not-utf-8"],
     )
     def test_bad_topology_is_a_usage_error(self, tmp_path, capsys, text, message):
@@ -535,6 +543,21 @@ class TestArgParsing:
         cells, negative_nan_cells = rows_to_csv(small_cfg(), [row, negative_nans]).splitlines()[2:]
         assert cells == "etch,0.10000000000000001,3,nan,nan,inf,-inf,1e-300,12,,1.5,7,E9,2,,0.5"
         assert negative_nan_cells == cells  # a NaN prints nan whatever its sign
+
+    def test_column_runs_print_as_cells_alone(self):
+        # equal but distinct objects in a column: each must print as it would alone
+        one, nan_a, nan_b = np.float64(1.0), float("nan"), float("nan")
+        cells = [
+            ("x", 1, 1.0, True, one, 0.0, 0.1, nan_a, 7, None, 1.0, 3, "E1", 1, None, 0.5),
+            ("x", 1.0, True, one, 1, -0.0, 0.1, nan_b, 7, 0.5, True, 3, "E2", 1, 0.5, None),
+            ("x", True, one, 1, 1.0, 0.0, 0.1, nan_b, 7.0, None, 1, 3, "E3", True, None, 0.5),
+            ("x", one, 1, 1.0, True, -0.0, -0.0, nan_a, 7, 0.5, one, 3.0, "E4", 1.0, 0.5, 0.5),
+        ]
+        rows = [Row(*row) for row in cells]
+        alone = [rows_to_csv(small_cfg(), [row]).splitlines()[2] for row in rows]
+        assert rows_to_csv(small_cfg(), rows).splitlines()[2:] == alone
+        assert alone[0] == "x,1,1,True,1,0,0.10000000000000001,nan,7,,1,3,E1,1,,0.5"
+        assert alone[1] == "x,1,True,1,1,-0,0.10000000000000001,nan,7,0.5,True,3,E2,1,0.5,"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -759,6 +782,33 @@ class TestRunExperiment:
     def test_config_rejects_a_count_that_is_not_a_number(self, field, value, shown):
         with pytest.raises(ValueError, match=f"^{field} must be a number, got {shown}$"):
             small_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [(dict(q_params=(0.5, None, 0.3)), "q_params must be a number, got None"),
+         (dict(m=None), "m must be a number, got None"),
+         (dict(q_params="0.5,0.25,0.35"), "q_params must be a number, got '0'"),
+         (dict(experiment="sweep", spam_grid=(0.9, 0.9)), "spam_grid must hold (s, m) pairs, got (0.9, 0.9)"),
+         (dict(experiment="sweep", spam_grid=((0.9, 0.9, 0.9),)),
+          "spam_grid must hold (s, m) pairs, got ((0.9, 0.9, 0.9),)"),
+         (dict(experiment="sweep", spam_grid=((0.9, "0.9"),)), "spam_grid must be a number, got '0.9'"),
+         (dict(s="0.5"), "s must be a number, got '0.5'"),
+         (dict(experiment="loss", t_send_s=(0.5, "1")), "t_send_s must be a number, got '1'"),
+         (dict(experiment="loss", horizon_s="60"), "horizon_s must be a number, got '60'")],
+        ids=["q-none", "m-none", "q-string", "spam-grid-flat", "spam-grid-triple", "spam-grid-string",
+             "s-string", "t-send-string", "horizon-string"],
+    )
+    def test_config_rejects_a_real_that_is_not_a_number(self, overrides, message):
+        with pytest.raises(ValueError) as err:
+            small_cfg(**overrides)
+        assert str(err.value) == message
+
+    def test_config_stores_reals_as_floats(self):
+        cfg = small_cfg(s=1, m=np.float64(0.5), q_params=(True, 0.25, 0.35))
+        assert (cfg.s, cfg.m, cfg.q_params) == (1.0, 0.5, (1.0, 0.25, 0.35))
+        assert {type(value) for value in (cfg.s, cfg.m, *cfg.q_params)} == {float}
+        sweep = small_cfg(experiment="sweep", spam_grid=[[1, 0.5]])
+        assert sweep.spam_grid == ((1.0, 0.5),) and type(sweep.spam_grid[0][0]) is float
 
     def test_sweep_driver_varies_spam(self):
         cfg = small_cfg(

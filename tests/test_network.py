@@ -811,6 +811,25 @@ class TestSelectionMatchesReference:
         assert (sel.path_a2, sel.path_b, sel.chain_b) == (("E4",), ("E2", "E3"), ())
         assert sel == reference_select(topo, chains, "T")
 
+    @pytest.mark.parametrize(
+        "ends, merge_node",
+        [(("H1", "H01"), "H01"), (("H01", "H1"), "H1"), (("H2", "H10"), "H10"), (("H10", "H2"), "H10")],
+        ids=["equal-keys", "equal-keys-reversed", "natural", "natural-reversed"],
+    )
+    def test_target_between_effective_monitors_merges_away_from_the_first_end(self, ends, merge_node):
+        # the outer end comes first in natural order, equal keys as the edge lists them
+        first, second = ends
+        nodes = {first: "internal", second: "internal", "M1": "monitor", "M2": "monitor",
+                 "N1": "monitor", "N2": "monitor"}
+        edges = [Edge("A1", first, "M1", UNIFORM), Edge("A2", first, "M2", UNIFORM),
+                 Edge("B1", second, "N1", UNIFORM), Edge("B2", second, "N2", UNIFORM),
+                 Edge("T", first, second, UNIFORM)]
+        topo = Topology(nodes, edges)
+        chains = {**dict.fromkeys(topo.monitors, ()), first: ("A1",), second: ("B1",)}
+        sel = select_mergecast_branches(topo, chains, "T")
+        assert sel.merge_node == merge_node
+        assert sel == reference_select(topo, chains, "T")
+
     def test_seeded_trees(self, monkeypatch):
         for seed in range(20):
             pairs = _etch_against_reference(monkeypatch, random_tree(seed, 20 + 7 * seed))

@@ -87,6 +87,24 @@ class TestParse:
         assert err.value.line_no == 5
         assert str(err.value) == "line 5: duplicate edge id 'E'"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("edge E A B x y z", "non-numeric channel parameters ['x', 'y', 'z']"),
+         ("edge E A B 0.5 0.5 half", "non-numeric channel parameters ['0.5', '0.5', 'half']"),
+         ("edge E A B 0.5 0.5", "expected: edge <id> <nodeA> <nodeB> <q_x> <q_y> <q_z>"),
+         ("edge E A B 1 1 -1", "invalid channel: complete positivity violated: p_z = -0.5 < 0 for q = (1.0, 1.0, -1.0)"),
+         ("node C", "expected: node <id> monitor|internal"),
+         ("node C relay", "unknown node kind 'relay'"),
+         ("node A internal", "duplicate node id 'A'"),
+         ("wire A B", "unknown declaration 'wire'")],
+        ids=["non-numeric", "one-non-numeric", "short-edge", "cp", "short-node", "kind", "duplicate-node",
+             "declaration"],
+    )
+    def test_malformed_line_messages(self, line, message):
+        with pytest.raises(TopologyParseError) as err:
+            parse_topology(f"node A monitor\nnode B monitor\n{line}\n")
+        assert str(err.value) == f"line 3: {message}"
+
     def test_malformed_line(self):
         with pytest.raises(TopologyParseError):
             parse_topology("node A\n")
