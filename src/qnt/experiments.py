@@ -265,7 +265,7 @@ def _row(
     samples: tuple[float, float],
     agg: stats.TrialAggregate,
     runtime_ms: float,
-    crb: Optional[float] = None,
+    crb: Optional[float],
     *context,
 ) -> Row:
     """A cell's row: the truth and MSE of its trials' aggregate ``agg``, with

@@ -18,8 +18,8 @@ product of the members'.
 
 from __future__ import annotations
 
-import heapq
 import re
+from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -318,12 +318,12 @@ def _ranked_monitors(
                 if chain is None:
                     next_level.append(other)
                 else:
-                    heapq.heappush(heap, (depth + 1 + len(chain), keys[other], len(parent), other, chain))
+                    heappush(heap, (depth + 1 + len(chain), keys[other], len(parent), other, chain))
         level = next_level
         depth += 1
         # With no level left to expand, every queued monitor is final.
         while heap and (not level or heap[0][0] <= depth):
-            _, _, _, monitor, chain = heapq.heappop(heap)
+            _, _, _, monitor, chain = heappop(heap)
             path, node = [], monitor
             while parent[node] is not None:
                 node, edge_id = parent[node]
