@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -11,7 +12,15 @@ import pytest
 
 import qnt
 from qnt import lossy, protocols, stats
-from qnt.cli import _parsers, build_parser, config_from_args, main, parse_int_list, parse_spam_grid
+from qnt.cli import (
+    _parsers,
+    build_parser,
+    config_from_args,
+    main,
+    parse_float_list,
+    parse_int_list,
+    parse_spam_grid,
+)
 from qnt.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -125,6 +134,34 @@ class TestArgParsing:
 
     def test_spam_grid(self):
         assert parse_spam_grid("1:1;0.9:0.8") == ((1.0, 1.0), (0.9, 0.8))
+
+    def test_blank_chunks_and_spaces_are_skipped(self):
+        assert parse_int_list(" 100 , ,200 ") == (100, 200)
+        assert parse_float_list(" 0.5, ,-0.25 ") == (0.5, -0.25)
+        assert parse_spam_grid(" 1:1 ; ; 0.9:0.8 ") == ((1.0, 1.0), (0.9, 0.8))
+
+    def test_a_descending_range_is_empty(self):
+        assert parse_int_list("100,300:100:100") == (100,)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_int_list, ",,", "empty sample list ',,'"),
+        (parse_int_list, "300:100:100", "empty sample list '300:100:100'"),
+        (parse_int_list, "1:10:0", "range step must be positive"),
+        (parse_int_list, "1:10:-1", "range step must be positive"),
+        (parse_float_list, ",", "empty list ','"),
+        (parse_spam_grid, ";", "empty SPAM grid ';'"),
+    ])
+    def test_list_error_messages(self, parse, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as error:
+            parse(text)
+        assert str(error.value) == message
+
+    def test_a_list_error_names_the_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["star", "--m-samples", "300:100:100"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "qnt star: error: argument --m-samples: empty sample list '300:100:100'\n")
 
     def test_parser_builds_config(self):
         args = build_parser().parse_args(
