@@ -21,62 +21,49 @@ import argparse
 import functools
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .experiments import EXPERIMENTS, SWEEP_GRID, ExperimentConfig, write_experiment
 
 
-def _unreadable(chunk: str, form: str) -> argparse.ArgumentTypeError:
-    return argparse.ArgumentTypeError(f"cannot read {chunk!r}: expected {form}")
+def _parse_list(text: str, separator: str, read: Callable[[str], Sequence], form: str, empty: str) -> tuple:
+    """The values that ``read`` gives for each non-blank chunk of ``text``; a chunk it
+    cannot read names the ``form`` expected, and a list of no value is ``empty``."""
+    values: list = []
+    for chunk in filter(None, map(str.strip, text.split(separator))):
+        try:
+            values += read(chunk)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot read {chunk!r}: expected {form}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"{empty} {text!r}")
+    return tuple(values)
+
+
+def _int_range(chunk: str) -> range:
+    start, stop, step = map(int, chunk.split(":")) if ":" in chunk else (int(chunk), int(chunk), 1)
+    if step <= 0:
+        raise argparse.ArgumentTypeError("range step must be positive")
+    return range(start, stop + 1, step)
+
+
+def _spam_pair(chunk: str) -> tuple[tuple[float, float]]:
+    s_text, m_text = chunk.split(":")
+    return ((float(s_text), float(m_text)),)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Parse '100,200' or '100:1000:100' (or a mix, comma-separated)."""
-    values: list[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        try:
-            start, stop, step = map(int, parts) if len(parts) == 3 else (int(chunk), int(chunk), 1)
-        except ValueError:
-            raise _unreadable(chunk, "N or start:stop:step") from None
-        if step <= 0:
-            raise argparse.ArgumentTypeError("range step must be positive")
-        values.extend(range(start, stop + 1, step))
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty sample list {text!r}")
-    return tuple(values)
+    return _parse_list(text, ",", _int_range, "N or start:stop:step", "empty sample list")
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    values = []
-    for chunk in filter(None, map(str.strip, text.split(","))):
-        try:
-            values.append(float(chunk))
-        except ValueError:
-            raise _unreadable(chunk, "a number") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    return tuple(values)
+    return _parse_list(text, ",", lambda chunk: (float(chunk),), "a number", "empty list")
 
 
 def parse_spam_grid(text: str) -> tuple[tuple[float, float], ...]:
     """Parse 's1:m1;s2:m2' pairs for the sweep experiment."""
-    grid = []
-    for pair in text.split(";"):
-        pair = pair.strip()
-        if not pair:
-            continue
-        try:
-            s_text, m_text = pair.split(":")
-            grid.append((float(s_text), float(m_text)))
-        except ValueError:
-            raise _unreadable(pair, "s:m;s:m") from None
-    if not grid:
-        raise argparse.ArgumentTypeError(f"empty SPAM grid {text!r}")
-    return tuple(grid)
+    return _parse_list(text, ";", _spam_pair, "s:m;s:m", "empty SPAM grid")
 
 
 # Each config field's option: its flag and argparse keywords.  A subcommand offers

@@ -61,10 +61,6 @@ class ProtocolError(ValueError):
     """A protocol precondition is violated (empty path, zero parameter, ...)."""
 
 
-class EstimationError(RuntimeError):
-    """A scalar estimator's denominator is too close to zero to divide (an array gives NaN there)."""
-
-
 @dataclass(frozen=True)
 class SpamModel:
     """State-preparation and measurement error parameters.
@@ -351,8 +347,8 @@ def sample_ratio(
     p_num: float | Sequence[float], p_uni: float | Sequence[float], samples: tuple[int, int],
     seed: int, label: str, trials: Optional[int], numerator: str = "merge",
 ) -> Union[float, np.ndarray]:
-    """The ratio (2 p_num_hat - 1)/(2 p_uni_hat - 1) over ``samples = (M, N)`` runs of two
-    protocols, NaN wherever it cannot divide (see :func:`_divide`).
+    """The :func:`_ratio` (2 p_num_hat - 1)/(2 p_uni_hat - 1) over ``samples = (M, N)`` runs of
+    two protocols, NaN wherever it cannot divide.
 
     Each protocol is one ``binomial`` draw of shape ``(trials, *shape(p))`` from the substream
     ``{label}|{numerator}`` or ``{label}|uni`` at index 0; ``trials=None`` draws once per p.
@@ -363,7 +359,7 @@ def sample_ratio(
     size = None if trials is None else (trials, *np.shape(p_num))
     num = substream(seed, f"{label}|{numerator}", 0).binomial(m_size, p_num, size=size)
     uni = substream(seed, f"{label}|uni", 0).binomial(n_size, p_uni, size=size)
-    return _divide(2.0 * (num / m_size) - 1.0, 2.0 * (uni / n_size) - 1.0)
+    return _ratio(num / m_size, uni / n_size)
 
 
 def _p_hat(value: ProbabilityLike) -> Union[float, np.ndarray]:
@@ -377,16 +373,10 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / np.where(np.abs(den) < DEGENERATE_DENOMINATOR_TOL, np.nan, den)
 
 
-def _ratio(
-    numerator: ProbabilityLike, denominator: ProbabilityLike, what: str
-) -> Union[float, np.ndarray]:
-    num = 2.0 * _p_hat(numerator) - 1.0
-    den = 2.0 * _p_hat(denominator) - 1.0
-    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
-        return _divide(num, den)
-    if abs(den) < DEGENERATE_DENOMINATOR_TOL:
-        raise EstimationError(f"{what}: denominator 2*p-1 = {den} is degenerate")
-    return num / den
+def _ratio(numerator: ProbabilityLike, denominator: ProbabilityLike) -> Union[float, np.ndarray]:
+    """(2 p_numerator - 1)/(2 p_denominator - 1), NaN wherever it cannot divide (see
+    :func:`_divide`), for a scalar call as for each entry of an array."""
+    return _divide(2.0 * _p_hat(numerator) - 1.0, 2.0 * _p_hat(denominator) - 1.0)
 
 
 def estimate_q_mergecast(merge: ProbabilityLike, uni: ProbabilityLike) -> Union[float, np.ndarray]:
@@ -396,17 +386,17 @@ def estimate_q_mergecast(merge: ProbabilityLike, uni: ProbabilityLike) -> Union[
     caller divides by the prefactor ratio f_merge/f_uni = s to isolate the
     target parameter.
     """
-    return _ratio(merge, uni, "mergecast estimator")
+    return _ratio(merge, uni)
 
 
 def estimate_s(p1: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndarray]:
     """Preparation-error estimator (2 p_SPAM,1 - 1)/(2 p_SPAM,0 - 1)."""
-    return _ratio(p1, p0, "s estimator")
+    return _ratio(p1, p0)
 
 
 def estimate_m(p2: ProbabilityLike, p0: ProbabilityLike) -> Union[float, np.ndarray]:
     """Measurement-error estimator (2 p_SPAM,2 - 1)/(2 p_SPAM,0 - 1)."""
-    return _ratio(p2, p0, "m estimator")
+    return _ratio(p2, p0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +533,6 @@ class CyclingVariant:
     meas_x: bool
     meas_z: bool
 
-    @property
-    def flips_outcome(self) -> bool:
-        return self.meas_x
-
 
 ALL_CYCLING_VARIANTS = tuple(
     CyclingVariant(p, x, z) for p in (False, True) for x in (False, True) for z in (False, True)
@@ -576,7 +562,7 @@ def cycled_zero_prob(
     if variant.meas_z:
         vec = Z_GATE_DIAG * vec
     p0 = 0.5 * float(raw.meas @ vec)
-    return 1.0 - p0 if variant.flips_outcome else p0
+    return 1.0 - p0 if variant.meas_x else p0
 
 
 def effective_spam_after_cycling(raw: RawSpamVectors) -> SpamModel:

@@ -28,7 +28,6 @@ from qnt.pauli import (
 from qnt.protocols import (
     ALL_CYCLING_VARIANTS,
     CyclingVariant,
-    EstimationError,
     ProtocolError,
     ProtocolOutcome,
     RawSpamVectors,
@@ -333,10 +332,10 @@ class TestEstimators:
         assert estimate_q_mergecast(merge, uni) == pytest.approx(0.5, abs=ATOL)
 
     def test_degenerate_denominator(self):
-        # a scalar call has no trial to give NaN, so it raises
-        expected = r"^mergecast estimator: denominator 2\*p-1 = 0\.0 is degenerate$"
-        with pytest.raises(EstimationError, match=expected):
-            estimate_q_mergecast(0.7, 0.5)
+        # a scalar call that cannot divide is NaN, as an array entry is
+        assert math.isnan(estimate_q_mergecast(0.7, 0.5))
+        assert math.isnan(estimate_s(0.7, 0.5 + 1e-10))
+        assert math.isnan(estimate_m(ProtocolOutcome(n0=3, n_total=4), ProtocolOutcome(n0=2, n_total=4)))
 
     @pytest.mark.parametrize("merge, uni, degenerate", [
         (np.full((2, 3), 0.7), np.array([[0.6, 0.6, 0.5], [0.6, 0.5 + 1e-10, 0.6]]),
@@ -526,10 +525,7 @@ def reference_sweep(topology, spam, samples, bases, rng_for):
                 p_uni = unicast_prob([*a2_true, *b_true], spam, basis)
                 merge_out = sample_protocol(p_merge, m_samples, rng_for(f"etch|{round_num}|{basis}|merge"))
                 uni_out = sample_protocol(p_uni, n_samples, rng_for(f"etch|{round_num}|{basis}|uni"))
-                try:
-                    ratios[basis] = estimate_q_mergecast(merge_out, uni_out)
-                except EstimationError:  # a batched sweep gives this trial NaN
-                    ratios[basis] = math.nan
+                ratios[basis] = estimate_q_mergecast(merge_out, uni_out)
             yield round_num, target, selection.target_chain, ratios
 
 
