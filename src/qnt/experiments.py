@@ -92,8 +92,9 @@ class ExperimentConfig:
     length of ``q_defaults``, a q with |q| above 1 (``PauliChannel`` allows rounding
     slack past it), a zero SPAM parameter or q divisor, loss timings that
     :mod:`qnt.lossy` rejects (more than ``lossy.MAX_SLOTS`` slots too), an etch topology
-    that cannot be read or etched, an etch ``s`` too small to divide by, and an output
-    path that is a directory or in no existing directory raise ``ValueError``."""
+    that cannot be read or etched, an etch ``s`` too small to divide by, an empty topology
+    or output path, and an output path that is a directory or in no existing directory raise
+    ``ValueError``."""
 
     experiment: str
     seed: int = 12345
@@ -147,6 +148,9 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be at least 1")
         if max(self.m_samples + self.n_samples, default=1) > 2**63 - 1:  # numpy draws int64 counts
             raise ValueError("sample sizes must be at most 2**63 - 1")
+        for name, path in (("topology", self.topology_path), ("output", self.output_path)):
+            if path == "":  # no file, not the default
+                raise ValueError(f"{name} path is empty")
         if self.output_path and os.path.isdir(self.output_path):
             raise ValueError(f"output path {self.output_path!r} is a directory")
         if self.output_path and not os.path.isdir(os.path.dirname(self.output_path) or "."):
@@ -292,7 +296,8 @@ def _ratio_rows(
 
     Each cell draws all its trials with :func:`protocols.sample_ratio` under
     the label ``{stream}|{M}|{N}``, and each trial estimates
-    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.  A ``crb`` that cannot divide is blank.
+    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.  A ``crb`` that cannot divide, or
+    that is negative (the closed forms assume positive q), is no bound and is blank.
     """
     rows = []
     for samples in itertools.product(cfg.m_samples, cfg.n_samples):
@@ -303,9 +308,9 @@ def _ratio_rows(
         try:
             bound = crb(*samples)
         except ZeroDivisionError:  # spam-s and spam-m at m s q1 q2 = 1: every estimate is exact, the bound 0/0
-            bound = None
+            bound = np.nan
         rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
-                         runtime, bound, target))
+                         runtime, bound if bound >= 0 else None, target))
     return rows
 
 

@@ -503,6 +503,18 @@ class TestArgParsing:
         assert f"qnt star: error: output path {out!r} {message}" in err
         assert err.count(out) == 1
 
+    @pytest.mark.parametrize("command, option, name", [("etch", "--topology", "topology"),
+                                                       ("star", "--out", "output"), ("etch", "--out", "output")])
+    def test_empty_path_is_a_usage_error_before_the_run(self, capsys, monkeypatch, command, option, name):
+        # an empty path names no file: it must not fall back to fig1 or stdout
+        experiment = command.replace("-", "_")
+        monkeypatch.setitem(EXPERIMENTS, experiment,
+                            EXPERIMENTS[experiment]._replace(driver=lambda cfg: pytest.fail("the grid ran")))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, option, ""])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"qnt {command}: error: {name} path is empty\n")
+
     @pytest.mark.parametrize("name", ["star", "sweep", "spam-s", "spam-m", "etch", "loss"])
     def test_every_option_names_a_config_field(self, name):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -932,6 +944,18 @@ class TestMain:
         cells = [dict(zip(header, row)) for row in rows]
         assert len(cells) == 2
         assert all(cell["crb"] == "" and float(cell["mse"]) == 0.0 for cell in cells)
+
+    @pytest.mark.parametrize("command, q", [("star", "0.5,-0.25,0.35"), ("spam-s", "-0.3,0.25"),
+                                            ("spam-m", "-0.3,0.25")])
+    def test_negative_crb_is_blank(self, command, q, tmp_path):
+        # the closed forms assume positive q; here they give -0.00907 (star) and -0.0267
+        out = tmp_path / "rows.csv"
+        argv = [command, "--q", q, "--trials", "50", "--m-samples", "1000", "--n-samples", "1000",
+                "--out", str(out)]
+        assert main(argv) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines()[1:])
+        cell = dict(zip(header, row))
+        assert cell["crb"] == "" and math.isfinite(float(cell["mse"]))
 
     def test_config_error_names_the_experiment_as_typed(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
