@@ -507,9 +507,8 @@ class TestArgParsing:
                                                        ("star", "--out", "output"), ("etch", "--out", "output")])
     def test_empty_path_is_a_usage_error_before_the_run(self, capsys, monkeypatch, command, option, name):
         # an empty path names no file: it must not fall back to fig1 or stdout
-        experiment = command.replace("-", "_")
-        monkeypatch.setitem(EXPERIMENTS, experiment,
-                            EXPERIMENTS[experiment]._replace(driver=lambda cfg: pytest.fail("the grid ran")))
+        monkeypatch.setitem(EXPERIMENTS, command,
+                            EXPERIMENTS[command]._replace(driver=lambda cfg: pytest.fail("the grid ran")))
         with pytest.raises(SystemExit) as exit_info:
             main([command, option, ""])
         assert exit_info.value.code == 2
