@@ -211,6 +211,13 @@ class TestRunLossExperiment:
         b = run_loss_experiment(STAR, REFERENCE_FIBER, memory(0.75), sched, seed=12)
         assert a == b
 
+    def test_zero_reference_gives_nan(self):
+        # q_Z,2 = 0 makes the reference m s^2 q_Z,2 q_Z,3 zero: qubits arrive, but nothing divides
+        channels = (STAR[0], PauliChannel(0.0, 0.0, 0.0), STAR[2])
+        result = run_loss_experiment(channels, REFERENCE_FIBER, memory(0.75), Schedule(0.5, 600.0), seed=12)
+        assert result.received_count > 0
+        assert math.isnan(result.estimate)
+
 
 def reference_decohere(state, dt_s, memory):
     """T1/T2 decay of one ``PauliVector1Q``, the formula that the row decay replaces."""

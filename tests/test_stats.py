@@ -159,3 +159,32 @@ class TestCrbSpam:
     def test_doubling_halves(self):
         base = crb_spam_s(1000, 3000, 0.5, 0.25, 0.9, 0.9)
         assert crb_spam_s(2000, 6000, 0.5, 0.25, 0.9, 0.9) == pytest.approx(base / 2, rel=1e-12)
+
+    def test_bounds_match_their_closed_forms_bit_for_bit(self):
+        # seeded non-degenerate inputs, q of either sign; == on floats compares every bit
+        rng = np.random.default_rng(34)
+        n = 100_000
+        sizes = rng.integers(1, 10**6, size=(n, 2)).tolist()
+        q1, q2 = (rng.uniform(0.01, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n) for _ in range(2))
+        s, m = rng.uniform(0.01, 1.0, size=(2, n))
+        for (big_m, big_n), *params in zip(sizes, q1.tolist(), q2.tolist(), s.tolist(), m.tolist()):
+            assert crb_spam_s(big_m, big_n, *params) == closed_form_spam_s(big_m, big_n, *params)
+            assert crb_spam_m(big_m, big_n, *params) == closed_form_spam_m(big_m, big_n, *params)
+
+
+def closed_form_spam_s(m_samples, n_samples, q1, q2, s, m):
+    """The s bound as a body of its own: s (1 - ms q1 q2) / (N (1 - m s^2 q1 q2) m q1 q2)
+    + (1 - m s^2 q1 q2) / (M (1 - ms q1 q2) m q1 q2), in this operand order."""
+    qq = q1 * q2
+    uni = 1.0 - m * s * qq
+    merged = 1.0 - m * s * s * qq
+    return s * uni / (n_samples * merged * m * qq) + merged / (m_samples * uni * m * qq)
+
+
+def closed_form_spam_m(m_samples, n_samples, q1, q2, s, m):
+    """The m bound as a body of its own: m (1 - ms q1 q2) / (N (1 - m^2 s q1 q2) s q1 q2)
+    + (1 - m^2 s q1 q2) / (M (1 - ms q1 q2) s q1 q2), in this operand order."""
+    qq = q1 * q2
+    uni = 1.0 - m * s * qq
+    summed = 1.0 - m * m * s * qq
+    return m * uni / (n_samples * summed * s * qq) + summed / (m_samples * uni * s * qq)
