@@ -296,8 +296,8 @@ def _ratio_rows(
 
     Each cell draws all its trials with :func:`protocols.sample_ratio` under
     the label ``{stream}|{M}|{N}``, and each trial estimates
-    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.  A ``crb`` that cannot divide, or
-    that is negative (the closed forms assume positive q), is no bound and is blank.
+    ``(2 p_num_hat - 1)/(2 p_uni_hat - 1) / divisor``.  A ``crb`` that is NaN, where it
+    cannot divide, or negative (the closed forms assume positive q) is no bound and is blank.
     """
     rows = []
     for samples in itertools.product(cfg.m_samples, cfg.n_samples):
@@ -305,10 +305,7 @@ def _ratio_rows(
         estimates = protocols.sample_ratio(p_num, p_uni, samples, cfg.seed,
                                            f"{stream}|{samples[0]}|{samples[1]}", cfg.trials, numerator)
         runtime = (time.perf_counter() - start) * 1e3
-        try:
-            bound = crb(*samples)
-        except ZeroDivisionError:  # spam-s and spam-m at m s q1 q2 = 1: every estimate is exact, the bound 0/0
-            bound = np.nan
+        bound = crb(*samples)  # NaN for spam-s and spam-m at m s q1 q2 = 1: exact estimates, a 0/0 bound
         rows.append(_row(cfg, spam, samples, stats.aggregate_mse(estimates / divisor, truth),
                          runtime, bound if bound >= 0 else None, target))
     return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliChannel, PauliVector1Q
-from .protocols import PERFECT_SPAM, SpamModel, _diagonals, _merge_prob, _physical
+from .protocols import PERFECT_SPAM, SpamModel, _diagonals, _divide, _merge_prob, _physical
 from .stats import substream
 
 TIME_EPS = 1e-9
@@ -105,7 +105,7 @@ _exp = np.vectorize(math.exp, otypes=[float])  # libm's exp, which np.exp may mi
 
 def _decay(states: np.ndarray, waits: np.ndarray, memory: MemoryParams) -> np.ndarray:
     """:func:`decohere` of ``(..., 4)`` states over ``(..., 1)`` waits (s); each state out is checked once."""
-    if (waits < 0).any():
+    if not (waits >= 0).all():  # so that NaN fails
         raise ValueError("dt must be nonnegative")
     transverse, longitudinal = _exp(-waits / memory.t2_s), _exp(-waits / memory.t1_s)
     decayed = states * np.concatenate((np.ones_like(transverse), transverse, transverse, longitudinal), axis=-1)
@@ -132,7 +132,8 @@ class LossExperimentResult:
     merged qubits surviving the third fiber; ``zero_count`` observed |0>
     outcomes among those.  ``estimate`` is the q_Z,1 estimate formed by
     dividing the observed correlator by the analytic ideal reference
-    m s^2 q_Z,2 q_Z,3 (NaN when nothing was received).
+    m s^2 q_Z,2 q_Z,3, NaN when nothing was received or the reference is
+    degenerate (see :func:`protocols._divide`).
     """
 
     merged_count: int
@@ -243,10 +244,7 @@ def run_loss_experiment(
     n_received = received.size
 
     reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
-    if n_received == 0 or reference == 0.0:
-        estimate = math.nan
-    else:
-        estimate = (2.0 * zeros / n_received - 1.0) / reference
+    estimate = float(_divide(2.0 * zeros / n_received - 1.0, reference)) if n_received else math.nan
     return LossExperimentResult(
         merged_count=gaps.size,
         received_count=n_received,

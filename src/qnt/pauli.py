@@ -65,10 +65,11 @@ class PauliVector1Q:
         if arr.shape != (4,):
             raise NonPhysicalStateError(f"expected 4 coefficients, got shape {arr.shape}")
         x_i, x, y, z = arr.tolist()
-        if abs(x_i - 1.0) > ATOL:
+        # written so that NaN fails every check
+        if not abs(x_i - 1.0) <= ATOL:
             raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {arr[0]!r}")
         r2 = x**2 + y**2 + z**2
-        if r2 > 1.0 + ATOL:
+        if not r2 <= 1.0 + ATOL:
             raise NonPhysicalStateError(f"Bloch vector norm^2 = {r2} exceeds 1")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -120,7 +121,7 @@ class PauliVector2Q:
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.shape != (16,):
             raise NonPhysicalStateError(f"expected 16 coefficients, got shape {arr.shape}")
-        if abs(arr[0] - 1.0) > ATOL:
+        if not abs(arr[0] - 1.0) <= ATOL:  # so that NaN fails
             raise NonPhysicalStateError(f"coefficient of I(x)I must be 1, got {arr[0]!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -358,8 +359,6 @@ def partial_trace(state: PauliVector2Q, discard: QubitSlot) -> PauliVector1Q:
 def z_measurement_probs(state: PauliVector1Q) -> tuple[float, float]:
     """Computational-basis outcome probabilities ((1 + x_Z)/2, (1 - x_Z)/2)."""
     p0 = (1.0 + state.z) / 2.0
-    if not -ATOL <= p0 <= 1.0 + ATOL:
-        raise NonPhysicalStateError(f"outcome probability {p0} outside [0, 1]")
     return (p0, 1.0 - p0)
 
 

@@ -92,6 +92,8 @@ class ProtocolOutcome:
     n_total: int
 
     def __post_init__(self):
+        if self.n_total < 1:
+            raise ProtocolError(f"n_total = {self.n_total} must be at least 1")
         if not 0 <= self.n0 <= self.n_total:
             raise ProtocolError(f"n0 = {self.n0} outside [0, {self.n_total}]")
 
@@ -130,10 +132,11 @@ def _index_paths(paths: Sequence[Sequence[str]], index: dict) -> np.ndarray:
 
 def _physical(states: np.ndarray) -> None:
     """Raise unless every row of ``states`` passes the checks that ``PauliVector1Q`` makes of one."""
-    if (np.abs(states[..., 0] - 1.0) > ATOL).any():
+    # written so that NaN fails every check
+    if not (np.abs(states[..., 0] - 1.0) <= ATOL).all():
         raise NonPhysicalStateError(f"x_I must be 1 for a normalized state, got {states[..., 0]}")
     r2 = (states * states) @ _BLOCH_SQUARES
-    if (r2 > 1.0 + ATOL).any():
+    if not (r2 <= 1.0 + ATOL).all():
         raise NonPhysicalStateError(f"Bloch vector norm^2 = {r2.max()} exceeds 1")
 
 

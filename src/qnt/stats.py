@@ -89,7 +89,7 @@ def aggregate_mse_rows(
 def crb_mergecast(
     m_samples: int, n_samples: int, q1: float, q2: float, q3: float, s: float = 1.0, m: float = 1.0
 ) -> float:
-    """Reference Cramer-Rao bound for the merge-protocol estimate of q1.
+    """Reference Cramer-Rao bound for the merge-protocol estimate of q1, NaN at ms q2 q3 = 0.
 
     CRB(M, N) = q1 (1 - ms q1 q2 q3) / (M ms q2 q3)
               + q1^2 (1 - ms q2 q3) / (N ms q2 q3)
@@ -98,7 +98,7 @@ def crb_mergecast(
         raise ValueError("sample sizes must be at least 1")
     denom = m * s * q2 * q3
     if denom == 0.0:
-        raise ZeroDivisionError("ms * q2 * q3 must be nonzero")
+        return math.nan
     term_merge = q1 * (1.0 - m * s * q1 * q2 * q3) / (m_samples * denom)
     term_uni = q1 * q1 * (1.0 - m * s * q2 * q3) / (n_samples * denom)
     return term_merge + term_uni
@@ -107,36 +107,33 @@ def crb_mergecast(
 def crb_spam_s(
     m_samples: int, n_samples: int, q1: float, q2: float, s: float, m: float
 ) -> float:
-    """Reference bound for estimating the preparation parameter s.
+    """Reference bound for estimating the preparation parameter s, NaN where it cannot divide.
 
     CRB(M, N) = s (1 - ms q1 q2) / (N (1 - m s^2 q1 q2) m q1 q2)
               + (1 - m s^2 q1 q2) / (M (1 - ms q1 q2) m q1 q2)
     """
-    if m_samples < 1 or n_samples < 1:
-        raise ValueError("sample sizes must be at least 1")
-    qq = q1 * q2
-    uni = 1.0 - m * s * qq
-    merged = 1.0 - m * s * s * qq
-    if m * qq == 0.0 or uni == 0.0 or merged == 0.0:
-        raise ZeroDivisionError("degenerate parameters for the s bound")
-    return s * uni / (n_samples * merged * m * qq) + merged / (m_samples * uni * m * qq)
+    return _crb_spam(m_samples, n_samples, q1 * q2, s, m, m * s * s)
 
 
 def crb_spam_m(
     m_samples: int, n_samples: int, q1: float, q2: float, s: float, m: float
 ) -> float:
-    """Reference bound for estimating the measurement parameter m.
+    """Reference bound for estimating the measurement parameter m, NaN where it cannot divide.
 
     Mirror image of :func:`crb_spam_s` with the roles of s and m swapped:
 
     CRB(M, N) = m (1 - ms q1 q2) / (N (1 - m^2 s q1 q2) s q1 q2)
               + (1 - m^2 s q1 q2) / (M (1 - ms q1 q2) s q1 q2)
     """
+    return _crb_spam(m_samples, n_samples, q1 * q2, m, s, m * m * s)
+
+
+def _crb_spam(m_samples: int, n_samples: int, qq: float, est: float, other: float, cubic: float) -> float:
+    """The SPAM bound of the parameter ``est``, with ``other`` the other SPAM parameter,
+    ``qq`` = q1 q2 and ``cubic`` the merged protocol's SPAM factor (m s^2 or m^2 s)."""
     if m_samples < 1 or n_samples < 1:
         raise ValueError("sample sizes must be at least 1")
-    qq = q1 * q2
-    uni = 1.0 - m * s * qq
-    summed = 1.0 - m * m * s * qq
-    if s * qq == 0.0 or uni == 0.0 or summed == 0.0:
-        raise ZeroDivisionError("degenerate parameters for the m bound")
-    return m * uni / (n_samples * summed * s * qq) + summed / (m_samples * uni * s * qq)
+    uni, merged = 1.0 - other * est * qq, 1.0 - cubic * qq
+    if other * qq == 0.0 or uni == 0.0 or merged == 0.0:
+        return math.nan
+    return est * uni / (n_samples * merged * other * qq) + merged / (m_samples * uni * other * qq)

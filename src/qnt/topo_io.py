@@ -85,11 +85,12 @@ def format_topology(topology: Topology) -> str:
 
 
 def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse the topology file at ``path``; a UTF-8 byte-order mark at its start is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_topology(handle.read())
 
 
 def bundled_topology(name: str) -> Topology:
     """Load one of the packaged example topologies (e.g. ``fig1``, ``star3``)."""
-    text = resources.files("qnt.data").joinpath(f"{name}.topo").read_text(encoding="utf-8")
+    text = resources.files("qnt.data").joinpath(f"{name}.topo").read_text(encoding="utf-8-sig")
     return parse_topology(text)

@@ -6,6 +6,8 @@ import os
 import pathlib
 import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -893,6 +895,15 @@ class TestMain:
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
+    def test_module_run_prints_the_csv(self):
+        env = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent.parent / "src")}
+        argv = ["star", "--trials", "2", "--m-samples", "10", "--n-samples", "10"]
+        result = subprocess.run([sys.executable, "-m", "qnt.cli", *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("# config {") and lines[1] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 3 and lines[2].startswith("star,10,10,")
+
     def test_etch_with_topology_file(self, tmp_path):
         topo_file = tmp_path / "net.topo"
         topo_file.write_text(
@@ -955,6 +966,18 @@ class TestMain:
         header, row = (line.split(",") for line in out.read_text().splitlines()[1:])
         cell = dict(zip(header, row))
         assert cell["crb"] == "" and math.isfinite(float(cell["mse"]))
+
+    def test_loss_trials_with_a_tiny_reference_are_degenerate(self, tmp_path):
+        # m s^2 q_Z,2 q_Z,3 = 1e-10 is below the degenerate tolerance, as a chain correction
+        # that small is: every trial is NaN and counted, not an estimate near 1e9
+        out = tmp_path / "rows.csv"
+        argv = ["loss", "--q", "0.5,1e-5,1e-5", "--t-send", "0.5", "--t-cutoff", "5", "--trials", "3",
+                "--horizon", "100", "--out", str(out)]
+        assert main(argv) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines()[1:])
+        cell = dict(zip(header, row))
+        assert (cell["mse"], cell["mse_std"], cell["n_degenerate"]) == ("nan", "nan", "3")
+        assert float(cell["M"]) > 0 and float(cell["N"]) > 0  # merged and received counts
 
     def test_config_error_names_the_experiment_as_typed(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -17,7 +17,7 @@ from qnt.lossy import (
     survival_prob,
 )
 from qnt.pauli import ATOL, PauliChannel, PauliVector1Q, apply_channel
-from qnt.protocols import PERFECT_SPAM, SpamModel
+from qnt.protocols import DEGENERATE_DENOMINATOR_TOL, PERFECT_SPAM, SpamModel
 from qnt.stats import substream
 
 from conftest import random_channel, random_state
@@ -137,6 +137,11 @@ class TestDecohere:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             decohere(PauliVector1Q.ket0(), -0.1, memory(1.0))
+
+    def test_nan_time_rejected(self):
+        # a NaN wait would decay every coefficient to NaN
+        with pytest.raises(ValueError, match="^dt must be nonnegative$"):
+            decohere(PauliVector1Q.ket0(), math.nan, MemoryParams(10, 1, 5))
 
 
 class TestRunLossExperiment:
@@ -377,7 +382,7 @@ def reference_loss(channels, fiber, memory, schedule, spam=PERFECT_SPAM, seed=0)
         if outcome_rng.random() < lossy._merge_outcome_prob(channels, waits, memory, spam):
             zeros += 1
     reference = spam.m * spam.s * spam.s * channels[1].q_z * channels[2].q_z
-    if received == 0 or reference == 0.0:
+    if received == 0 or abs(reference) < DEGENERATE_DENOMINATOR_TOL:
         estimate = math.nan
     else:
         estimate = (2.0 * zeros / received - 1.0) / reference

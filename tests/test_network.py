@@ -127,6 +127,10 @@ class TestTopology:
         with pytest.raises(AttributeError):
             setattr(record, field, "X")
 
+    def test_other_end_of_a_non_endpoint_rejected(self):
+        with pytest.raises(TopologyError, match="^node 'C' is not an endpoint of edge 'E'$"):
+            Edge("E", "A", "B", UNIFORM).other("C")
+
 
 class TestValidate:
     def test_star_is_valid(self):
@@ -517,6 +521,13 @@ class TestBranchSelection:
         chains = dict.fromkeys(topo.monitors, ())
         with pytest.raises(BranchSelectionError):
             select_mergecast_branches(topo, chains, "E4")
+
+    def test_target_away_from_the_effective_monitors_fails(self):
+        # E2 joins the two internal nodes of the chain, neither an effective monitor yet
+        topo = chain_topology()
+        with pytest.raises(BranchSelectionError,
+                           match="^target 'E2' has no endpoint in the effective monitors$"):
+            select_mergecast_branches(topo, dict.fromkeys(topo.monitors, ()), "E2")
 
     def test_deterministic(self):
         topo = bundled_topology("fig1")

@@ -33,6 +33,29 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DensityMatrix(np.eye(3, dtype=complex) / 3), "unsupported dimension (3, 3)"),
+            (lambda: KrausChannel(()), "at least one Kraus operator required"),
+            (lambda: evolve_kraus(pauli_to_density(PauliVector1Q.ket0()),
+                                  KrausChannel((np.eye(4, dtype=complex),))),
+             "dimension mismatch: state 2, channel 4"),
+            (lambda: oracle.partial_trace_density(pauli_to_density(PauliVector1Q.ket0()), "first"),
+             "partial trace requires a two-qubit state"),
+            # the T gate sends X to (X + Y)/sqrt(2), no signed Pauli
+            (lambda: oracle.conjugation_table(np.diag([1.0, np.exp(0.25j * np.pi)]), oracle.pauli_basis(1)),
+             "conjugation image is not a signed Pauli"),
+        ],
+        ids=["dimension", "no-kraus", "dimension-mismatch", "partial-trace-1q", "not-clifford"],
+    )
+    def test_error_messages(self, build, message):
+        with pytest.raises(OracleValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+
 class TestKrausChannel:
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(OracleValidationError):

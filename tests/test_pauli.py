@@ -364,10 +364,10 @@ def reference_compose(path) -> tuple[float, float, float]:
 def reference_state_error(coeffs) -> str | None:
     """The message the one-qubit state check raised, on numpy scalars."""
     arr = np.asarray(coeffs, dtype=float)
-    if abs(arr[0] - 1.0) > ATOL:
+    if not abs(arr[0] - 1.0) <= ATOL:
         return f"x_I must be 1 for a normalized state, got {arr[0]!r}"
     r2 = float(arr[1] ** 2 + arr[2] ** 2 + arr[3] ** 2)
-    return f"Bloch vector norm^2 = {r2} exceeds 1" if r2 > 1.0 + ATOL else None
+    return f"Bloch vector norm^2 = {r2} exceeds 1" if not r2 <= 1.0 + ATOL else None
 
 
 def reference_probabilities(q_x, q_y, q_z) -> tuple[float, float, float, float]:
@@ -475,8 +475,23 @@ class TestPrimitivesMatchReferenceForms:
             (lambda: compose_channels([]), ValueError, "path must contain at least one channel"),
             (lambda: compose_channels(iter([])), ValueError,
              "path must contain at least one channel"),
+            # every check is written so that NaN fails it
+            (lambda: PauliVector1Q.from_bloch(float("nan"), 0.0, 0.0), NonPhysicalStateError,
+             "Bloch vector norm^2 = nan exceeds 1"),
+            (lambda: PauliVector1Q(np.array([float("nan"), 0, 0, 0])), NonPhysicalStateError,
+             "x_I must be 1 for a normalized state, got np.float64(nan)"),
+            (lambda: PauliVector2Q(np.r_[float("nan"), np.zeros(15)]), NonPhysicalStateError,
+             "coefficient of I(x)I must be 1, got np.float64(nan)"),
+            (lambda: PauliVector2Q(np.zeros(4)), NonPhysicalStateError,
+             "expected 16 coefficients, got shape (4,)"),
+            # the two-qubit check is normalization only, so readout checks its probabilities
+            (lambda: joint_z_measurement_probs(PauliVector2Q(np.r_[1.0, np.zeros(14), 5.0])),
+             NonPhysicalStateError, "outcome probability 1.5 outside [0, 1]"),
+            (lambda: is_bypassable(PauliChannel.identity(), tol=-1e-12), ValueError,
+             "tol must be nonnegative"),
         ],
-        ids=["trace", "bloch", "shape", "trace-2q", "cp", "range", "empty-path", "empty-iterator"],
+        ids=["trace", "bloch", "shape", "trace-2q", "cp", "range", "empty-path", "empty-iterator",
+             "nan-bloch", "nan-trace", "nan-trace-2q", "shape-2q", "joint-probability", "negative-tol"],
     )
     def test_error_messages(self, build, error, message):
         with pytest.raises(error) as err:

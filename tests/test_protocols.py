@@ -377,6 +377,46 @@ class TestEstimators:
                 assert got == pytest.approx(truth, abs=1e-12)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ProtocolOutcome(0, 0), "n_total = 0 must be at least 1"),
+            (lambda: ProtocolOutcome(5, 4), "n0 = 5 outside [0, 4]"),
+            (lambda: ProtocolOutcome(-1, 4), "n0 = -1 outside [0, 4]"),
+            (lambda: mergecast_prob(uniform_channel(0.5), [], [uniform_channel(0.5)]),
+             "mergecast branches must be nonempty"),
+            (lambda: spam_s_protocol_prob([], SpamModel(0.9, 0.9)), "path must be nonempty"),
+            (lambda: spam_m_protocol_probs([uniform_channel(0.5)], [], SpamModel(0.9, 0.9)),
+             "both paths must be nonempty"),
+            (lambda: RawSpamVectors(np.zeros(3), np.zeros(4)), "SPAM vectors must each have 4 components"),
+            (lambda: RawSpamVectors(np.array([0.9, 0, 0, 0]), np.array([1.0, 0, 0, 1.0])),
+             "preparation vector must be trace normalized (first entry 1)"),
+        ],
+        ids=["no-runs", "n0-above", "n0-below", "mergecast-branch", "spam-s-path", "spam-m-path",
+             "spam-shape", "spam-trace"],
+    )
+    def test_error_messages(self, build, message):
+        with pytest.raises(ProtocolError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_an_outcome_of_no_runs_cannot_reach_an_estimator(self):
+        # it would divide 0 by 0 in empirical_p
+        with pytest.raises(ProtocolError):
+            estimate_q_mergecast(ProtocolOutcome(0, 0), 0.7)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [((math.nan, 0.0, 0.0, 0.0), r"^x_I must be 1 for a normalized state, got \[\s*1\.\s+nan\]$"),
+         ((1.0, math.nan, 0.0, 0.0), r"^Bloch vector norm\^2 = nan exceeds 1$")],
+        ids=["x-i", "bloch"],
+    )
+    def test_nan_states_fail_the_row_checks(self, row, message):
+        with pytest.raises(NonPhysicalStateError, match=message):
+            protocols._physical(np.array([(1.0, 0.0, 0.0, 1.0), row]))
+
+
 class TestSignAmbiguity:
     def test_pairwise_products_leave_two_solutions(self, rng):
         for _ in range(100):
@@ -406,6 +446,10 @@ class TestSignAmbiguity:
             assert len(ambiguous) == 2
             resolved = consistent_sign_assignments(mags, pairs, triple_product=triple, tol=1e-9)
             assert resolved == [tuple(signs)]
+
+    def test_an_inconsistent_third_product_leaves_no_solution(self):
+        # q1 q2 > 0 and q2 q3 > 0 force q1 q3 > 0, so a negative q1 q3 matches no signs
+        assert consistent_sign_assignments((0.5, 0.5, 0.5), (0.25, 0.25, -0.25)) == []
 
 
 class TestPhaseCycling:

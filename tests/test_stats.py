@@ -118,8 +118,13 @@ class TestCrbMergecast:
         )
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            crb_mergecast(100, 100, 0.5, 0.0, 0.35)
+        # ms q2 q3 = 0: a bound that cannot divide is NaN, as a trial that cannot divide is
+        assert math.isnan(crb_mergecast(100, 100, 0.5, 0.0, 0.35))
+
+    @pytest.mark.parametrize("big_m, big_n", [(0, 1), (1, 0)])
+    def test_sample_sizes_below_1_rejected(self, big_m, big_n):
+        with pytest.raises(ValueError, match="^sample sizes must be at least 1$"):
+            crb_mergecast(big_m, big_n, 0.5, 0.25, 0.35)
 
 
 class TestCrbSpam:
@@ -159,6 +164,19 @@ class TestCrbSpam:
     def test_doubling_halves(self):
         base = crb_spam_s(1000, 3000, 0.5, 0.25, 0.9, 0.9)
         assert crb_spam_s(2000, 6000, 0.5, 0.25, 0.9, 0.9) == pytest.approx(base / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("bound", [crb_spam_s, crb_spam_m])
+    @pytest.mark.parametrize("params", [(1, 1, 1, 1), (0.5, 0.0, 0.9, 0.8), (0.5, 0.5, 0.0, 0.0)],
+                             ids=["uni-and-merged-zero", "q2-zero", "s-and-m-zero"])
+    def test_nan_where_it_cannot_divide(self, bound, params):
+        # at q1 = q2 = s = m = 1 each term is 0/0; a zero q or SPAM parameter zeroes a divisor
+        assert math.isnan(bound(10, 10, *params))
+
+    @pytest.mark.parametrize("bound", [crb_spam_s, crb_spam_m])
+    @pytest.mark.parametrize("big_m, big_n", [(0, 1), (1, 0)])
+    def test_sample_sizes_below_1_rejected(self, bound, big_m, big_n):
+        with pytest.raises(ValueError, match="^sample sizes must be at least 1$"):
+            bound(big_m, big_n, 0.5, 0.25, 0.9, 0.9)
 
     def test_bounds_match_their_closed_forms_bit_for_bit(self):
         # seeded non-degenerate inputs, q of either sign; == on floats compares every bit

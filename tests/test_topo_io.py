@@ -1,10 +1,12 @@
 import pytest
 
+from qnt import topo_io
 from qnt.network import validate
 from qnt.topo_io import (
     TopologyParseError,
     bundled_topology,
     format_topology,
+    load_topology,
     parse_topology,
 )
 
@@ -112,6 +114,27 @@ class TestParse:
             parse_topology("node A monitor\nwire A A\n")
         with pytest.raises(TopologyParseError):
             parse_topology("node A monitor\nnode B monitor\nedge E A B x y z\n")
+
+
+class TestByteOrderMark:
+    def test_a_leading_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.topo", tmp_path / "marked.topo"
+        plain.write_text(VALID, encoding="utf-8")
+        marked.write_text(VALID, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert format_topology(load_topology(marked)) == format_topology(load_topology(plain))
+
+    def test_a_bundled_file_may_start_with_a_mark(self, tmp_path, monkeypatch):
+        (tmp_path / "marked.topo").write_text(VALID, encoding="utf-8-sig")
+        monkeypatch.setattr(topo_io.resources, "files", lambda package: tmp_path)
+        assert format_topology(bundled_topology("marked")) == format_topology(parse_topology(VALID))
+
+    def test_a_mark_anywhere_else_is_an_error(self, tmp_path):
+        path = tmp_path / "marked.topo"
+        path.write_text("node A monitor\n\ufeffnode B monitor\n", encoding="utf-8-sig")
+        with pytest.raises(TopologyParseError) as err:
+            load_topology(path)
+        assert str(err.value) == "line 2: unknown declaration '\\ufeffnode'"  # the repr of the name
 
 
 class TestRoundTrips:
